@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper's evaluation
 section (section VI).  The regenerated rows/series are printed and also
 written to ``benchmarks/results/<name>.txt`` so they survive pytest's output
-capturing; EXPERIMENTS.md records the paper-vs-measured comparison based on
-those files.
+capturing; README.md's "Tests and benchmarks" section says how to regenerate
+them.
 
 Scale knobs (environment variables):
 

@@ -1,9 +1,10 @@
 """Streaming extension: sliding windows and incremental per-region counting.
 
 The unbounded streaming engine retains the full join history on every
-machine and (in its legacy ``counting="recount"`` mode) re-counts each
-region's output from scratch every batch, so both memory and per-batch cost
-grow with the stream.  This benchmark demonstrates the two claims of the
+machine, and the legacy engine (kept as the test reference
+:class:`~repro.streaming.testing.RecountBackend`) re-counted each region's
+output from scratch every batch, so both memory and per-batch cost grew with
+the stream.  This benchmark demonstrates the two claims of the
 windowed engine on a long drifting-Zipf run:
 
 * **Bounded memory** -- under a sliding window the peak resident state
@@ -35,8 +36,13 @@ from repro.streaming import (
     DriftingZipfSource,
     StaticEWHPolicy,
     StreamingJoinEngine,
+    make_window,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import (
+    NeverTrimWindow,
+    RecountBackend,
+    assert_equivalent_runs,
+)
 
 from bench_utils import scaled
 
@@ -58,7 +64,13 @@ def long_drift_source():
 
 
 def adaptive_engine(window, compact=True):
-    """A drift-adaptive engine over 8 machines with the given window."""
+    """A drift-adaptive engine over 8 machines with the given window.
+
+    ``compact=False`` wraps the window in :class:`NeverTrimWindow`, the
+    pre-compaction engine's bookkeeping.
+    """
+    if not compact:
+        window = NeverTrimWindow(make_window(window))
     policy = DriftAdaptiveEWHPolicy(
         DriftDetector(threshold=1.3, warmup_batches=2, cooldown_batches=4)
     )
@@ -68,7 +80,6 @@ def adaptive_engine(window, compact=True):
         BAND_JOIN_WEIGHTS,
         policy=policy,
         window=window,
-        compact_history=compact,
         sample_capacity=2048,
         sample_decay=0.7,
         seed=3,
@@ -141,7 +152,7 @@ def test_history_compaction_keeps_windowed_memory_flat(benchmark, report):
       full history is the verification ground truth);
     * **batches:8 compacted** (the default) -- total resident memory is
       flat across the stream tail;
-    * **batches:8 leaky** (``compact_history=False``, the pre-compaction
+    * **batches:8 leaky** (:class:`NeverTrimWindow`, the pre-compaction
       engine) -- join state is bounded but total memory still grows
       linearly with the stream.
 
@@ -233,21 +244,21 @@ def test_incremental_counting_matches_recount_and_is_faster(benchmark, report):
             seed=7,
         )
 
-    def engine(counting):
+    def engine(backend=None):
         return StreamingJoinEngine(
             8,
             BAND,
             BAND_JOIN_WEIGHTS,
             policy=StaticEWHPolicy(),
-            counting=counting,
+            backend=backend,
             sample_capacity=2048,
             seed=5,
         )
 
     def run_both():
         return {
-            "CSIO-static/recount": engine("recount").run(source()),
-            "CSIO-static/incremental": engine("incremental").run(source()),
+            "CSIO-static/recount": engine(RecountBackend()).run(source()),
+            "CSIO-static/incremental": engine().run(source()),
         }
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -1,24 +1,29 @@
-"""API001: the ExecutionBackend protocol surface and sticky-call ordering.
+"""API001: the ExecutionBackend protocol surface and state-call ordering.
 
-The engine drives execution backends through two protocols: stateless
-dispatch (``join_regions``) and — when a backend declares
-``owns_state = True`` — the sticky state-ownership protocol
-(``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-``rebase_state`` / ``install_state``, plus ``resize`` and
-``drain_channel_bytes``).  Forgetting one method in a new backend only
-surfaces at run time, on the first stream that happens to exercise it
-(evictions need a window, installs need a migration); calling the per-batch
-operations before ``bind`` is a latent ordering bug of exactly the kind the
-backend can only report once it is too late.  This rule rejects both
-statically:
+The engine drives execution backends through two surfaces: stateless
+dispatch (``join_regions``) and the per-stream region state that
+``bind`` hands out (``count_batch`` / ``evict_state`` / ``rebase_state`` /
+``install_state`` / ``resize`` / ``state_indices`` /
+``drain_channel_bytes``).  Stateless backends inherit ``bind`` and get
+``InProcessRegionState``; a backend that keeps its state elsewhere (sticky
+workers) implements the state calls itself.  A *partial* override is the
+hazard: a class that redefines ``count_batch`` but inherits ``evict_state``
+mixes the base class's in-process state with its own, and a missing call
+only surfaces at run time, on the first stream that happens to exercise it
+(evictions need a window, installs need a migration).  Calling the
+per-batch state calls before ``bind`` is a latent ordering bug of the same
+kind.  This rule rejects all three statically:
 
 * every class that directly subclasses ``ExecutionBackend`` must define
   ``join_regions`` in its own body (the abstract method made locally
   visible — intermediate bases like the test-double forwarding backend are
   subclassed by name, not re-checked);
-* a class-level ``owns_state = True`` obliges the full sticky surface;
+* a class that directly subclasses ``ExecutionBackend`` or
+  ``InProcessRegionState`` and defines any state call must define all of
+  them (overriding only ``bind`` -- handing out a complete state object of
+  its own -- is fine);
 * within one function body, the first ``.bind(...)`` call must precede the
-  first per-batch sticky call (``count_batch``/``evict_state``/
+  first per-batch state call (``count_batch``/``evict_state``/
   ``rebase_state``/``install_state``) — functions using only one side of
   the protocol are exempt, since binding and driving legitimately live in
   different engine phases.
@@ -33,32 +38,36 @@ from repro.analysis.engine import Rule, SourceContext, Violation
 
 __all__ = ["BackendProtocolRule"]
 
-#: The sticky state-ownership protocol surface, obliged by owns_state=True.
-STICKY_SURFACE = (
-    "bind",
+#: The region-state calls; defining any of them obliges all of them.
+STATE_PROTOCOL = (
     "count_batch",
     "evict_state",
     "rebase_state",
     "install_state",
     "resize",
+    "state_indices",
     "drain_channel_bytes",
 )
 
-#: Per-batch sticky operations that must not precede bind in one body.
+#: Classes whose direct subclasses the state-protocol check covers.
+_STATE_BASES = frozenset({"ExecutionBackend", "InProcessRegionState"})
+
+#: Per-batch state calls that must not precede bind in one body.
 _AFTER_BIND = frozenset(
     {"count_batch", "evict_state", "rebase_state", "install_state"}
 )
 
 
 class BackendProtocolRule(Rule):
-    """API001: complete backend surfaces; bind before per-batch sticky calls."""
+    """API001: complete backend surfaces; bind before per-batch state calls."""
 
     rule_id = "API001"
     name = "backend protocol surface"
     description = (
-        "ExecutionBackend subclasses must statically define the full "
-        "protocol surface, and sticky call sites must bind before "
-        "count_batch/evict_state in a function body"
+        "ExecutionBackend subclasses must define join_regions, a class "
+        "overriding any region-state call must override all of them, and "
+        "call sites must bind before count_batch/evict_state in a function "
+        "body"
     )
     target_node_types = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -100,39 +109,27 @@ class BackendProtocolRule(Rule):
                 defined.add(statement.target.id)
         return defined
 
-    @staticmethod
-    def _owns_state(node: ast.ClassDef) -> bool:
-        """Whether the class body sets ``owns_state = True`` literally."""
-        for statement in node.body:
-            if isinstance(statement, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "owns_state"
-                for target in statement.targets
-            ):
-                value = statement.value
-                return isinstance(value, ast.Constant) and value.value is True
-        return False
-
     def _check_class(self, node: ast.ClassDef) -> Iterator[Violation]:
-        if "ExecutionBackend" not in self._base_names(node):
-            return
+        bases = self._base_names(node)
         defined = self._defined(node)
-        if "join_regions" not in defined:
+        if "ExecutionBackend" in bases and "join_regions" not in defined:
             yield Violation(
                 node,
                 f"backend {node.name!r} subclasses ExecutionBackend but "
                 "does not define join_regions; define it (raising for "
-                "protocol-only backends is fine) so the surface is "
+                "state-only backends is fine) so the surface is "
                 "statically complete",
             )
-        if self._owns_state(node):
-            missing = [name for name in STICKY_SURFACE if name not in defined]
+        overridden = [name for name in STATE_PROTOCOL if name in defined]
+        if bases & _STATE_BASES and overridden:
+            missing = [name for name in STATE_PROTOCOL if name not in defined]
             if missing:
                 yield Violation(
                     node,
-                    f"backend {node.name!r} declares owns_state=True but "
-                    f"is missing sticky protocol methods {missing}; the "
-                    "engine will call them on the first stream that "
-                    "evicts, migrates or resizes",
+                    f"{node.name!r} overrides region-state calls "
+                    f"{overridden} but not {missing}; a partial override "
+                    "mixes the base class's in-process state with its own "
+                    "-- override every state call or none",
                 )
 
     # ------------------------------------------------------------------
@@ -164,6 +161,6 @@ class BackendProtocolRule(Rule):
             yield Violation(
                 first_batch_op,
                 f".{first_batch_attr}() is called before .bind() "
-                f"in {node.name!r}; the sticky protocol requires the "
-                "stream binding first",
+                f"in {node.name!r}; the region-state protocol requires "
+                "the stream binding first",
             )

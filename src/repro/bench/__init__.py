@@ -6,7 +6,7 @@
 * :mod:`repro.bench.scalability` -- the weak-scaling sweeps of Figures 4d-4g.
 * :mod:`repro.bench.reporting` -- plain-text tables that mirror the rows and
   series the paper reports, printed by the ``benchmarks/`` suite and written
-  into EXPERIMENTS.md.
+  to ``benchmarks/results/`` (README.md's "Tests and benchmarks" section).
 """
 
 from repro.bench.ablation import (

@@ -8,7 +8,8 @@ generator: attribute values receive Zipf(z)-distributed multiplicities.
 
 The paper runs scale factor 160 (160 GB, hundreds of millions of tuples);
 this reproduction is laptop-scale, so :class:`TPCHConfig` exposes the number
-of orders directly and EXPERIMENTS.md records the scale used per experiment.
+of orders directly; each benchmark's table in ``benchmarks/results/`` states
+the scale it ran at (see README.md's "Tests and benchmarks" section).
 TPC-H proper has 1.5M orders per scale factor; the helper
 :meth:`TPCHConfig.for_scale_factor` keeps that ratio at a reduced base so
 relative sizes between scale factors match the paper's scalability setup.

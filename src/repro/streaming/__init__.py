@@ -47,6 +47,7 @@ from repro.streaming.backends import (
     ExecutionBackend,
     MultiprocessBackend,
     RegionJoinResult,
+    RegionState,
     SimulatedBackend,
     SlowConsumerBackend,
     StickyWorkerBackend,
@@ -61,11 +62,7 @@ from repro.streaming.checkpoint import (
 )
 from repro.streaming.shm import ShmArena, ShmReader
 from repro.streaming.drift import DriftDetector, DriftObservation
-from repro.streaming.engine import (
-    COUNTING_MODES,
-    StreamingJoinEngine,
-    compare_streaming_schemes,
-)
+from repro.streaming.engine import StreamingJoinEngine, compare_streaming_schemes
 from repro.streaming.incremental import (
     DecayedReservoir,
     IncrementalHistogram,
@@ -111,6 +108,7 @@ __all__ = [
     "StickyWorkerBackend",
     "SlowConsumerBackend",
     "RegionJoinResult",
+    "RegionState",
     "ShmArena",
     "ShmReader",
     "default_mp_context",
@@ -140,7 +138,6 @@ __all__ = [
     "SlidingWindow",
     "ExponentialDecayWindow",
     "make_window",
-    "COUNTING_MODES",
     "BatchMetrics",
     "StreamRunResult",
     "RepartitioningPolicy",

@@ -23,6 +23,16 @@ decides *how* those per-region joins actually run:
   to the control messages alone (the ``shm KB`` column meters the
   shared-memory payload instead).
 
+Every backend also hands the engine the per-stream join state, through one
+protocol (:class:`RegionState`): :meth:`ExecutionBackend.bind` returns an
+object that counts each batch's arrivals against the resident state, evicts,
+rebases, installs migrated state, resizes, reports its arrival indices and
+drains its byte accounting.  Stateless backends inherit
+:class:`InProcessRegionState` -- sorted per-machine state in the engine's
+process, each batch's 2J delta counts dispatched as one :meth:`join_regions`
+call -- while the sticky backend implements the same calls over its workers.
+Both run the one delta fold :func:`fold_arrivals`.
+
 Every backend receives identical per-region key arrays and counts output with
 the same exact kernel, so the cost-model numbers, incremental output deltas
 and migration plans of a run are backend-independent; only the measured
@@ -51,6 +61,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -62,11 +73,14 @@ from repro.engine.executor import (
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
-from repro.streaming.incremental import SortedRegionState
+from repro.streaming.incremental import SortedRegionState, remove_sorted
 from repro.streaming.shm import ShmArena, ShmReader
 
 __all__ = [
     "RegionJoinResult",
+    "RegionState",
+    "InProcessRegionState",
+    "fold_arrivals",
     "ExecutionBackend",
     "SimulatedBackend",
     "MultiprocessBackend",
@@ -162,6 +176,227 @@ class RegionJoinResult:
         return int(self.per_machine_output.sum())
 
 
+def _accumulate_bytes(total: "int | None", measured: "int | None") -> "int | None":
+    """Fold one measured byte count into a running total.
+
+    ``None`` means "not measured" on both sides -- a total only becomes a
+    number once some execution went through a profiling serialization
+    channel, so simulated batches keep ``None`` (rendered ``-`` in the
+    streaming tables) rather than a misleading ``0``.
+    """
+    if measured is None:
+        return total
+    return (0 if total is None else total) + measured
+
+
+def _count_regions(
+    region_keys: "list[tuple[np.ndarray, np.ndarray]]",
+    conditions: "list[JoinCondition]",
+    keys2_sorted: bool,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Count each non-empty region's join output in this process.
+
+    Returns the per-region outputs and join seconds; a region with an empty
+    side produces nothing and is neither counted nor timed.
+    """
+    outputs = np.zeros(len(region_keys), dtype=np.int64)
+    seconds = np.zeros(len(region_keys))
+    for task, (keys1, keys2) in enumerate(region_keys):
+        if len(keys1) == 0 or len(keys2) == 0:
+            continue
+        started = perf_counter()
+        outputs[task] = count_join_output(
+            keys1, keys2, conditions[task], keys2_sorted=keys2_sorted
+        )
+        seconds[task] = perf_counter() - started
+    return outputs, seconds
+
+
+def fold_arrivals(
+    state1: SortedRegionState,
+    state2: SortedRegionState,
+    new_index1: np.ndarray,
+    new_keys1: np.ndarray,
+    new_index2: np.ndarray,
+    new_keys2: np.ndarray,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Fold one machine's arrivals into its sorted state; return the delta tasks.
+
+    A batch's output delta on a machine decomposes exactly as
+    ``C(new1, state2 + new2) + C(state1, new2)``.  The first task searches
+    the (just-updated) sorted R2 state per new R1 key under the join
+    condition; the second searches the *pre-insert* sorted R1 state per new
+    R2 key under the transposed condition.  Both second arrays are sorted,
+    so each count is ``O(new log state)``.  Both sides are inserted before
+    returning; the pre-insert R1 keys stay valid because
+    :meth:`SortedRegionState.insert` never mutates its arrays in place.
+    """
+    old_keys1 = state1.keys
+    state2.insert(new_index2, new_keys2)
+    state1.insert(new_index1, new_keys1)
+    return [(new_keys1, state2.keys), (new_keys2, old_keys1)]
+
+
+class RegionState(Protocol):
+    """The per-stream join state a backend hands the engine on ``bind``.
+
+    One object per stream holds every machine's resident region state (two
+    :class:`SortedRegionState` sides per machine, wherever they live) and
+    answers the engine's calls in engine coordinates -- arrival indices
+    into the engine's (compacted) key histories.
+    """
+
+    def count_batch(
+        self,
+        new1: "list[np.ndarray]",
+        new2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> RegionJoinResult:
+        """Fold per-machine arrivals into the state; count each machine's delta."""
+
+    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
+        """Drop expired arrival indices everywhere; return entries dropped."""
+
+    def rebase_state(self, trim1: int, trim2: int) -> None:
+        """Shift every resident arrival index down after history compaction."""
+
+    def install_state(
+        self,
+        assignments1: "list[np.ndarray]",
+        assignments2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> None:
+        """Replace every machine's state with complete per-machine assignments."""
+
+    def resize(self, num_machines: int) -> None:
+        """Adopt a new machine count; an :meth:`install_state` must follow."""
+
+    def state_indices(self) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """Per-machine resident arrival indices of each side (not copies)."""
+
+    def drain_channel_bytes(
+        self,
+    ) -> "tuple[int | None, int | None, int | None]":
+        """Bytes moved since the last drain: (pickled, unpickled, shm)."""
+
+
+class InProcessRegionState:
+    """Region state kept in the engine's process -- every stateless backend's.
+
+    Each machine's two sides are :class:`SortedRegionState` lists here; a
+    batch's count folds the arrivals in with :func:`fold_arrivals` and ships
+    the resulting 2J delta tasks to the backend as one :meth:`join_regions`
+    call (a single pool round-trip under the multiprocess backend).  The
+    object belongs to one stream, so the backend that made it stays free to
+    serve other engines.
+    """
+
+    def __init__(
+        self,
+        backend: "ExecutionBackend",
+        num_machines: int,
+        condition: JoinCondition,
+        transposed: JoinCondition,
+    ) -> None:
+        self.backend = backend
+        self.condition = condition
+        self.transposed = transposed
+        self.resize(num_machines)
+        self._pickled: "int | None" = None
+        self._unpickled: "int | None" = None
+
+    def count_batch(
+        self,
+        new1: "list[np.ndarray]",
+        new2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> RegionJoinResult:
+        """Fold the arrivals in and count every machine's delta in one dispatch.
+
+        The returned result is per machine (the two tasks' outputs and
+        seconds summed); a machine's worker pid is whichever process ran its
+        first dispatched task.
+        """
+        tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
+        for machine, (state1, state2) in enumerate(zip(self.state1, self.state2)):
+            index1, index2 = new1[machine], new2[machine]
+            tasks += fold_arrivals(
+                state1, state2, index1, history1[index1], index2, history2[index2]
+            )
+        J = len(self.state1)
+        execution = self.backend.join_regions(
+            tasks, [self.condition, self.transposed] * J, keys2_sorted=True
+        )
+        self._pickled = _accumulate_bytes(self._pickled, execution.bytes_pickled)
+        self._unpickled = _accumulate_bytes(
+            self._unpickled, execution.bytes_unpickled
+        )
+        pids = execution.worker_pids
+        if pids is not None:
+            pids = np.where(pids[0::2] >= 0, pids[0::2], pids[1::2])
+        return RegionJoinResult(
+            per_machine_output=execution.per_machine_output.reshape(J, 2).sum(axis=1),
+            per_machine_seconds=execution.per_machine_seconds.reshape(J, 2).sum(
+                axis=1
+            ),
+            wall_seconds=execution.wall_seconds,
+            worker_pids=pids,
+        )
+
+    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
+        """Drop the expired indices from every machine; return entries dropped."""
+        return sum(state.evict(expired1) for state in self.state1) + sum(
+            state.evict(expired2) for state in self.state2
+        )
+
+    def rebase_state(self, trim1: int, trim2: int) -> None:
+        """Shift every machine's arrival indices by the per-side trims."""
+        for state in self.state1:
+            state.rebase(trim1)
+        for state in self.state2:
+            state.rebase(trim2)
+
+    def install_state(
+        self,
+        assignments1: "list[np.ndarray]",
+        assignments2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> None:
+        """Rebuild every machine's sorted state from its assigned indices."""
+        self.state1 = [
+            SortedRegionState.from_indices(indices, history1)
+            for indices in assignments1
+        ]
+        self.state2 = [
+            SortedRegionState.from_indices(indices, history2)
+            for indices in assignments2
+        ]
+
+    def resize(self, num_machines: int) -> None:
+        """Start ``num_machines`` empty machines (an install fills them)."""
+        self.state1 = [SortedRegionState() for _ in range(num_machines)]
+        self.state2 = [SortedRegionState() for _ in range(num_machines)]
+
+    def state_indices(self) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """Each machine's arrival indices per side, in key order."""
+        return (
+            [state.index for state in self.state1],
+            [state.index for state in self.state2],
+        )
+
+    def drain_channel_bytes(
+        self,
+    ) -> "tuple[int | None, int | None, int | None]":
+        """Pickle-channel bytes of the counts since the last drain; no shm."""
+        drained = (self._pickled, self._unpickled, None)
+        self._pickled = self._unpickled = None
+        return drained
+
+
 class ExecutionBackend(abc.ABC):
     """How the per-region joins of a micro-batch are executed.
 
@@ -184,13 +419,6 @@ class ExecutionBackend(abc.ABC):
     #: ``"real"`` for measured wall-clock seconds, ``"simulated"`` for
     #: modeled ones (see ``docs/observability.md`` on clock domains).
     clock_domain: str = "real"
-
-    #: Whether the backend keeps the per-machine join state resident on its
-    #: side (sticky workers).  The engine then drives the state-ownership
-    #: protocol -- ``bind`` / ``count_batch`` / ``evict_state`` /
-    #: ``rebase_state`` / ``install_state`` -- instead of shipping full
-    #: region state through :meth:`join_regions` every batch.
-    owns_state: bool = False
 
     #: Set by :meth:`close`; class-level default so subclasses need no
     #: ``__init__`` chaining.
@@ -229,6 +457,24 @@ class ExecutionBackend(abc.ABC):
         batch.
         """
 
+    def bind(
+        self,
+        num_machines: int,
+        condition: JoinCondition,
+        transposed: JoinCondition,
+    ) -> RegionState:
+        """Hand the engine a fresh per-stream :class:`RegionState`.
+
+        The base class keeps the state in the engine's process
+        (:class:`InProcessRegionState`) and counts through this backend's
+        :meth:`join_regions`; every call returns a new object, so one
+        stateless backend can serve any number of engines.  A backend that
+        keeps state elsewhere overrides ``bind`` together with every
+        state call.
+        """
+        self._ensure_open()
+        return InProcessRegionState(self, num_machines, condition, transposed)
+
     def close(self) -> None:
         """Release any resources held by the backend (idempotent, final)."""
         self._closed = True
@@ -255,18 +501,12 @@ class SimulatedBackend(ExecutionBackend):
     ) -> RegionJoinResult:
         """Count each non-empty region's join output in the calling process."""
         self._ensure_open()
-        conditions = broadcast_conditions(condition, len(region_keys))
-        outputs = np.zeros(len(region_keys), dtype=np.int64)
-        seconds = np.zeros(len(region_keys))
         start = perf_counter()
-        for machine, (keys1, keys2) in enumerate(region_keys):
-            if len(keys1) == 0 or len(keys2) == 0:
-                continue
-            region_start = perf_counter()
-            outputs[machine] = count_join_output(
-                keys1, keys2, conditions[machine], keys2_sorted=keys2_sorted
-            )
-            seconds[machine] = perf_counter() - region_start
+        outputs, seconds = _count_regions(
+            region_keys,
+            broadcast_conditions(condition, len(region_keys)),
+            keys2_sorted,
+        )
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -383,6 +623,16 @@ class MultiprocessBackend(ExecutionBackend):
         super().close()
 
 
+def _merge_sorted(held: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+    """Merge new arrival indices into a sorted ownership mirror."""
+    incoming = np.sort(np.asarray(incoming, dtype=np.int64))
+    if len(incoming) == 0:
+        return held
+    if len(held) == 0:
+        return incoming
+    return np.insert(held, np.searchsorted(held, incoming), incoming)
+
+
 class _StickyWorkerState:
     """One sticky worker's resident state and command handlers.
 
@@ -403,13 +653,12 @@ class _StickyWorkerState:
         self.machines = machines
         self.state1 = {machine: SortedRegionState() for machine in machines}
         self.state2 = {machine: SortedRegionState() for machine in machines}
-        self.condition: "JoinCondition | None" = None
-        self.transposed: "JoinCondition | None" = None
+        #: The stream's (condition, transposed) pair, set by :meth:`init`.
+        self.conditions: "list[JoinCondition]" = []
 
     def init(self, condition: JoinCondition, transposed: JoinCondition):
         """Adopt the stream's conditions; reply with this worker's pid."""
-        self.condition = condition
-        self.transposed = transposed
+        self.conditions = [condition, transposed]
         return ("ok", os.getpid())
 
     def count(self, arrays: "list[np.ndarray]"):
@@ -417,37 +666,28 @@ class _StickyWorkerState:
 
         ``arrays`` is the batch's machine-major layout -- four arrays per
         machine: R1 arrival indices, R1 keys, R2 arrival indices, R2 keys.
-        Per owned machine this replays the engine's exact delta
-        decomposition ``C(new1, state2 + new2) + C(state1, new2)``: insert
-        the R2 arrivals, search the updated sorted R2 state per new R1 key,
-        search the *pre-insert* sorted R1 state per new R2 key under the
-        transposed condition, then insert the R1 arrivals.  Empty sides are
-        skipped (and not timed), mirroring :class:`SimulatedBackend`.
+        Per owned machine this is the in-process engine's exact delta fold
+        (:func:`fold_arrivals`), counted with the same kernel
+        :class:`SimulatedBackend` uses -- empty sides are skipped and not
+        timed.
         """
-        counted = []
+        tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
         for machine in self.machines:
             idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-            state1 = self.state1[machine]
-            state2 = self.state2[machine]
-            old_keys1 = state1.keys
-            state2.insert(idx2, keys2)
-            out_a = out_b = 0
-            sec_a = sec_b = 0.0
-            if len(keys1) and len(state2.keys):
-                started = perf_counter()
-                out_a = count_join_output(
-                    keys1, state2.keys, self.condition, keys2_sorted=True
-                )
-                sec_a = perf_counter() - started
-            if len(keys2) and len(old_keys1):
-                started = perf_counter()
-                out_b = count_join_output(
-                    keys2, old_keys1, self.transposed, keys2_sorted=True
-                )
-                sec_b = perf_counter() - started
-            state1.insert(idx1, keys1)
-            counted.append((machine, int(out_a), int(out_b), sec_a, sec_b))
-        return ("counted", counted)
+            tasks += fold_arrivals(
+                self.state1[machine], self.state2[machine], idx1, keys1, idx2, keys2
+            )
+        outputs, seconds = _count_regions(
+            tasks, self.conditions * len(self.machines), True
+        )
+        return (
+            "counted",
+            [
+                (machine, int(outputs[2 * i]), int(outputs[2 * i + 1]),
+                 float(seconds[2 * i]), float(seconds[2 * i + 1]))
+                for i, machine in enumerate(self.machines)
+            ],
+        )
 
     def evict(self, arrays: "list[np.ndarray]"):
         """Drop expired arrival indices from every owned machine's state.
@@ -566,13 +806,15 @@ class StickyWorkerBackend(ExecutionBackend):
     trim points and migration moves travel the same way: control messages
     with any array payload in shared memory, never through pickle.
 
-    The engine drives the backend through the state-ownership protocol
-    (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-    ``rebase_state`` / ``install_state`` → ``close``) and keeps a
-    per-machine arrival-index mirror so migration planning and resident
-    accounting need no state readback.  Counted outputs are bit-identical
-    to :class:`SimulatedBackend` -- the workers replay the exact same
-    incremental fold on the exact same arrays.
+    The backend is its own :class:`RegionState`: :meth:`bind` returns the
+    backend itself, and every state call (``count_batch`` /
+    ``evict_state`` / ``rebase_state`` / ``install_state`` / ``resize``)
+    becomes a worker command.  A per-machine arrival-index mirror answers
+    :meth:`state_indices` (migration planning, checkpoints and resident
+    accounting) with no state readback, and every eviction checks that the
+    workers dropped exactly what the mirror expected.  Counted outputs are
+    bit-identical to :class:`SimulatedBackend` -- the workers run the same
+    :func:`fold_arrivals` on the exact same arrays.
 
     Parameters
     ----------
@@ -597,7 +839,6 @@ class StickyWorkerBackend(ExecutionBackend):
     """
 
     name = "sticky"
-    owns_state = True
 
     def __init__(
         self,
@@ -615,6 +856,10 @@ class StickyWorkerBackend(ExecutionBackend):
         self._processes: list = []
         self._num_machines: "int | None" = None
         self._machine_pids: "np.ndarray | None" = None
+        # The engine-side mirror of every machine's resident arrival
+        # indices, kept sorted per machine.
+        self._held1: "list[np.ndarray]" = []
+        self._held2: "list[np.ndarray]" = []
         self._bytes_pickled = 0
         self._bytes_unpickled = 0
         self._bytes_shm = 0
@@ -644,8 +889,8 @@ class StickyWorkerBackend(ExecutionBackend):
         num_machines: int,
         condition: JoinCondition,
         transposed: JoinCondition,
-    ) -> None:
-        """Start the workers and assign machine ownership for one stream.
+    ) -> "StickyWorkerBackend":
+        """Start the workers, assign machine ownership, return ``self``.
 
         Machine ``m`` is owned by worker ``m % W`` for the whole run.  A
         sticky backend binds exactly once: the workers' resident state *is*
@@ -685,6 +930,14 @@ class StickyWorkerBackend(ExecutionBackend):
         for worker, reply in enumerate(replies):
             pids[worker::workers] = reply[1]
         self._machine_pids = pids
+        self._reset_mirror(num_machines)
+        return self
+
+    def _reset_mirror(self, num_machines: int) -> None:
+        """Empty ownership mirrors for ``num_machines`` machines."""
+        empty = np.empty(0, dtype=np.int64)
+        self._held1 = [empty] * num_machines
+        self._held2 = [empty] * num_machines
 
     def _crashed(self, worker: int, cause: "BaseException | None" = None):
         """Build the :class:`WorkerCrashError` for a dead worker's channel."""
@@ -793,7 +1046,7 @@ class StickyWorkerBackend(ExecutionBackend):
         per-machine output counts and join timings; the byte accounting
         accrues on the backend and is drained per batch by the engine
         (:meth:`drain_channel_bytes`), covering every command of the batch,
-        not just the count.
+        not just the count.  The ownership mirror takes in the new indices.
         """
         self._ensure_bound()
         start = perf_counter()
@@ -806,6 +1059,9 @@ class StickyWorkerBackend(ExecutionBackend):
             for machine, out_a, out_b, sec_a, sec_b in reply[1]:
                 outputs[machine] = out_a + out_b
                 seconds[machine] = sec_a + sec_b
+        for machine in range(self._num_machines):
+            self._held1[machine] = _merge_sorted(self._held1[machine], new1[machine])
+            self._held2[machine] = _merge_sorted(self._held2[machine], new2[machine])
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -816,19 +1072,43 @@ class StickyWorkerBackend(ExecutionBackend):
     def evict_state(
         self, expired1: np.ndarray, expired2: np.ndarray
     ) -> int:
-        """Drop expired arrival indices worker-side; return entries dropped."""
+        """Drop expired arrival indices worker-side; return entries dropped.
+
+        The mirror is trimmed first and predicts how many entries the
+        workers must drop; a different worker count raises
+        ``RuntimeError`` -- the mirror *is* the engine's claim about worker
+        state, and a divergence means migration planning would move state
+        that does not exist.
+        """
         self._ensure_bound()
+        expected = 0
+        for held, expired in ((self._held1, expired1), (self._held2, expired2)):
+            if len(expired) == 0:
+                continue
+            for machine, indices in enumerate(held):
+                kept = remove_sorted(indices, expired)
+                expected += len(indices) - len(kept)
+                held[machine] = kept
         message = self._write(
             [
                 np.asarray(expired1, dtype=np.int64),
                 np.asarray(expired2, dtype=np.int64),
             ]
         )
-        return sum(reply[1] for reply in self._broadcast(("evict", message)))
+        dropped = sum(reply[1] for reply in self._broadcast(("evict", message)))
+        if dropped != expected:
+            raise RuntimeError(
+                f"sticky workers dropped {dropped} state entries but the "
+                f"engine's ownership mirror expected {expected}; "
+                "worker-resident state has diverged from the engine"
+            )
+        return dropped
 
     def rebase_state(self, trim1: int, trim2: int) -> None:
         """Rebase every worker's arrival indices after history compaction."""
         self._ensure_bound()
+        self._held1 = [held - trim1 for held in self._held1]
+        self._held2 = [held - trim2 for held in self._held2]
         self._broadcast(("rebase", int(trim1), int(trim2)))
 
     def install_state(
@@ -840,14 +1120,17 @@ class StickyWorkerBackend(ExecutionBackend):
     ) -> None:
         """Move migrated state between workers through shared memory.
 
-        ``assignments*`` are the migration plan's complete per-machine
-        arrival-index arrays; each worker rebuilds its owned machines'
-        state from the shared message, so state never crosses the pickle
-        channel even when it changes owners.
+        ``assignments*`` are complete per-machine arrival-index arrays (a
+        migration plan's new assignments, or a checkpoint's state); they
+        become the sorted ownership mirror, and each worker rebuilds its
+        owned machines' state from the mirror's shared message, so state
+        never crosses the pickle channel even when it changes owners.
         """
         self._ensure_bound()
+        self._held1 = [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments1]
+        self._held2 = [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments2]
         message = self._write(
-            self._state_layout(assignments1, assignments2, history1, history2)
+            self._state_layout(self._held1, self._held2, history1, history2)
         )
         self._broadcast(("install", message))
 
@@ -878,6 +1161,11 @@ class StickyWorkerBackend(ExecutionBackend):
             pids[worker::workers] = reply[1]
         self._num_machines = num_machines
         self._machine_pids = pids
+        self._reset_mirror(num_machines)
+
+    def state_indices(self) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """The ownership mirror: each machine's resident indices, sorted."""
+        return self._held1, self._held2
 
     def drain_channel_bytes(
         self,
@@ -913,9 +1201,9 @@ class StickyWorkerBackend(ExecutionBackend):
 
         Shipping full region arrays through this entry point is exactly the
         serialization tax this backend exists to remove, so it raises
-        instead -- the engine recognises ``owns_state`` and drives the
-        stateful protocol (``bind`` / ``count_batch`` / ...); a decorator
-        that hides that flag (e.g. ``SlowConsumerBackend``) cannot be used
+        instead -- the engine drives the state calls of the object
+        :meth:`bind` returns; a decorator that counts through
+        ``join_regions`` (e.g. ``SlowConsumerBackend``) cannot be used
         around a sticky backend.
         """
         self._ensure_open()

@@ -67,8 +67,10 @@ __all__ = ["CHECKPOINT_VERSION", "StreamCheckpoint", "run_resilient"]
 _MAGIC = b"RPSC"
 
 #: Format version written by this build; :meth:`StreamCheckpoint.from_bytes`
-#: refuses anything else.
-CHECKPOINT_VERSION = 1
+#: refuses anything else.  Version 2 dropped the recount baseline's counts
+#: and the verbatim key columns: every restore rebuilds the keys from the
+#: history.
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -93,8 +95,8 @@ class StreamCheckpoint:
 
     Attributes
     ----------
-    num_machines, counting, repartition_mode, compact_history,
-    migration_cost_factor, rebuild_scan_factor, seed:
+    num_machines, repartition_mode, migration_cost_factor,
+    rebuild_scan_factor, seed:
         The engine constructor arguments at checkpoint time
         (``num_machines`` reflects any resize already adopted).
     condition, weight_fn, policy, window, histogram, partitioning:
@@ -111,14 +113,13 @@ class StreamCheckpoint:
         The flat per-side key histories, batch-start lists and live
         arrival-index sets, in engine coordinates (rebased by whatever
         history compaction trimmed).
-    state_index1, state_keys1, state_index2, state_keys2:
-        Per-machine region state.  For engine-resident state both the index
-        and key columns are stored verbatim (restore is an exact
-        reconstruction); for a state-owning sticky backend the engine only
-        mirrors the indices, so the key lists are ``None`` and a restore
-        regathers keys from the history.
-    prev_outputs:
-        The recount baseline's cumulative per-machine counts.
+    state_index1, state_index2:
+        Each machine's resident arrival indices per side, as the backend's
+        region state reports them.  A restore rebuilds the sorted state
+        from them and the history
+        (:meth:`~repro.streaming.incremental.SortedRegionState.from_indices`,
+        a stable key sort, so in-process state comes back in exactly its
+        original order).
     region_to_machine:
         Where each region's state lives after any partial-repartitioning
         remap.
@@ -140,9 +141,7 @@ class StreamCheckpoint:
     """
 
     num_machines: int
-    counting: str
     repartition_mode: str
-    compact_history: bool
     migration_cost_factor: float
     rebuild_scan_factor: float
     seed: int
@@ -160,10 +159,7 @@ class StreamCheckpoint:
     live1: np.ndarray
     live2: np.ndarray
     state_index1: "list[np.ndarray]"
-    state_keys1: "list[np.ndarray] | None"
     state_index2: "list[np.ndarray]"
-    state_keys2: "list[np.ndarray] | None"
-    prev_outputs: np.ndarray
     region_to_machine: np.ndarray
     last_batch_index: "int | None"
     position: int

@@ -4,8 +4,15 @@
 and runs a stateful partitioned join over it:
 
 * every machine retains the tuples routed to its region, each side kept
-  sorted by join key (:class:`~repro.streaming.incremental.SortedRegionState`);
-  how long a tuple stays retained is the
+  sorted by join key (:class:`~repro.streaming.incremental.SortedRegionState`).
+  The state lives wherever the
+  :class:`~repro.streaming.backends.ExecutionBackend` keeps it: ``bind``
+  hands the engine one :class:`~repro.streaming.backends.RegionState` per
+  stream -- in-process sorted lists for the simulated, multiprocess and
+  slow-consumer backends, worker-resident state for sticky workers -- and
+  the engine drives every backend through the same calls (count, evict,
+  rebase, install, resize, indices, drain bytes);
+* how long a tuple stays retained is the
   :class:`~repro.streaming.window.WindowPolicy`'s decision -- unbounded
   history (the default), a sliding count-or-batch window, or exponential
   decay.  Evictions run after every batch, are charged into
@@ -15,27 +22,21 @@ and runs a stateful partitioned join over it:
   arrival bookkeeping after each eviction: the window reports a safe trim
   point (everything below ``min(live)`` can never be referenced again), the
   flat ``history1``/``history2`` key arrays and the batch-start lists are
-  trimmed below it, and every stored arrival index -- the live sets and
-  each :class:`~repro.streaming.incremental.SortedRegionState`'s index
-  column -- is rebased by the trimmed amount.  All routing, counting and
-  migration arithmetic runs in these rebased *engine coordinates*, so the
-  whole footprint is O(window) however long the stream runs
-  (``BatchMetrics.resident_bytes`` charges the three byte-weighted terms:
-  join state, key history and live sets; the trimmed batch-start lists are
-  O(window) entries too but too small to meter); compaction is pure bookkeeping and never changes
-  outputs, loads, evictions or migration plans (``compact_history=False``
-  keeps the uncompacted bookkeeping for equivalence testing);
+  trimmed below it, and every stored arrival index -- the live sets and the
+  region state's index columns -- is rebased by the trimmed amount.  All
+  routing, counting and migration arithmetic runs in these rebased *engine
+  coordinates*, so the whole footprint is O(window) however long the
+  stream runs (``BatchMetrics.resident_bytes`` charges the three
+  byte-weighted terms: join state, key history and live sets).  Compaction
+  is pure bookkeeping and never changes outputs, loads, evictions or
+  migration plans;
 * each micro-batch is routed by the current partitioning and its exact
-  incremental output is counted by a pluggable
-  :class:`~repro.streaming.backends.ExecutionBackend` (in-process simulation
-  or a persistent multiprocess worker pool).  Under the default
-  ``counting="incremental"`` the batch's output delta is computed directly
-  -- the new arrivals are binary-searched against the maintained sorted
-  state, ``O(new log state)`` per machine -- instead of re-counting the full
-  region and differencing (``counting="recount"``, the legacy baseline,
-  ``O(state log state)`` per batch).  Both produce identical deltas; the
-  cost-model load is charged per machine either way (arrivals at the input
-  cost, produced output at the output cost);
+  output delta is counted incrementally: per machine the delta is
+  ``C(new1, state2 + new2) + C(state1, new2)``, the new arrivals
+  binary-searched against the maintained sorted state -- ``O(new log
+  state)`` per machine, never a full-region recount.  The cost-model load
+  is charged per machine (arrivals at the input cost, produced output at
+  the output cost);
 * after each batch the :class:`~repro.streaming.policies.RepartitioningPolicy`
   may swap in a new partitioning, in which case the retained *live* state is
   migrated (:mod:`repro.streaming.migration`) and the moved tuples are
@@ -59,7 +60,10 @@ so windowed runs skip the full-history check (``output_correct`` stays
 ``None``) and ``tests/test_window_properties.py`` pins the windowed
 semantics against an independent reference count instead.  All of this is
 backend-independent -- every backend counts with the same exact kernel --
-which ``tests/test_backends.py`` pins down.
+which ``tests/test_backends.py`` pins down.  The full-recount and never-trim
+references these properties are checked against live in
+:mod:`repro.streaming.testing` (:class:`~repro.streaming.testing.RecountBackend`,
+:class:`~repro.streaming.testing.NeverTrimWindow`).
 """
 
 from __future__ import annotations
@@ -84,12 +88,17 @@ from repro.streaming.backends import (
     SimulatedBackend,
 )
 from repro.streaming.checkpoint import StreamCheckpoint
-from repro.streaming.incremental import IncrementalHistogram, SortedRegionState
+from repro.streaming.incremental import (
+    IncrementalHistogram,
+    SortedRegionState,
+    remove_sorted,
+)
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
 from repro.streaming.migration import (
     MIGRATION_MODES,
-    pad_assignments,
+    MigrationPlan,
     plan_migration,
+    route_live,
 )
 from repro.streaming.policies import (
     DriftAdaptiveEWHPolicy,
@@ -100,10 +109,7 @@ from repro.streaming.policies import (
 from repro.streaming.source import MicroBatch, StreamSource
 from repro.streaming.window import WindowPolicy, make_window
 
-__all__ = ["COUNTING_MODES", "StreamingJoinEngine", "compare_streaming_schemes"]
-
-#: Output-delta counting modes accepted by :class:`StreamingJoinEngine`.
-COUNTING_MODES = ("incremental", "recount")
+__all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
 
 
 class _RunState:
@@ -113,17 +119,15 @@ class _RunState:
     between batches lives here (the engine object itself holds only
     configuration), so a checkpoint is a copy of this object's fields plus
     the engine's collaborators, and a restore rebuilds exactly this.
+    ``regions`` is the backend's per-stream
+    :class:`~repro.streaming.backends.RegionState`.
     """
 
     __slots__ = (
         "rng",
         "history1",
         "history2",
-        "state1",
-        "state2",
-        "held1",
-        "held2",
-        "prev_outputs",
+        "regions",
         "partitioning",
         "region_to_machine",
         "live1",
@@ -146,14 +150,16 @@ class StreamingJoinEngine:
     num_machines:
         Cluster size ``J``.
     condition:
-        The monotonic join condition.
+        The monotonic join condition.  It must define ``.transposed``: the
+        incremental count searches the sorted R1 state per new R2 key under
+        the transposed condition.
     weight_fn:
         Cost model charging arrivals and output per machine.
     policy:
         The repartitioning policy (defaults to drift-adaptive EWH).
     backend:
-        The :class:`~repro.streaming.backends.ExecutionBackend` running the
-        per-batch, per-region joins.  Defaults to a fresh
+        The :class:`~repro.streaming.backends.ExecutionBackend` holding the
+        region state and running the per-batch counts.  Defaults to a fresh
         :class:`~repro.streaming.backends.SimulatedBackend`; a backend the
         engine creates itself is closed at end of run, a caller-provided one
         (e.g. a shared multiprocess pool) is left open.
@@ -163,31 +169,10 @@ class StreamingJoinEngine:
         :func:`~repro.streaming.window.make_window` (``"batches:8"``,
         ``"tuples:5000"``, ``"decay:0.9"``).  ``None`` retains the full
         history (unbounded).
-    counting:
-        ``"incremental"`` (default) computes each batch's output delta by
-        binary-searching the new arrivals against the maintained sorted
-        state -- ``O(new log state)`` per machine per batch.  ``"recount"``
-        is the legacy baseline: re-count every machine's full region each
-        batch and difference against the previous total,
-        ``O(state log state)``.  The deltas are identical
-        (``benchmarks/test_streaming_window.py`` pins this bit-for-bit);
-        recount exists for that equivalence check and as the speedup
-        baseline, and only supports the unbounded window (differencing full
-        recounts breaks once eviction shrinks a region's count).
     repartition_mode:
         ``"partial"`` (default) migrates only the regions whose
         region-to-machine assignment changed on a rebuild; ``"full"``
         re-routes the whole live history positionally.
-    compact_history:
-        ``True`` (default) trims the per-side key histories, live sets and
-        batch-start lists below the window's safe trim point after every
-        eviction and rebases all stored arrival indices, keeping the whole
-        footprint O(window) under a bounded window.  ``False`` keeps the
-        uncompacted full-run bookkeeping (the pre-compaction engine);
-        outputs, loads, evictions and migration plans are bit-identical
-        either way, which ``tests/test_window_properties.py`` pins.  The
-        flag is irrelevant for unbounded runs: nothing is ever trimmed
-        because the end-of-stream verification needs the full history.
     histogram:
         Optional pre-configured :class:`IncrementalHistogram`; built from
         ``sample_capacity`` / ``sample_decay`` / ``ewh_config`` when omitted.
@@ -208,14 +193,14 @@ class StreamingJoinEngine:
         randomised window policy).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` recording the span tree
-        ``run → batch → {route, incremental_count, join, evict, compact,
-        drift_decide, migrate}``; under the multiprocess backend each
-        counting span additionally stitches per-worker child spans keyed by
-        the pool pid that ran each task.  Defaults to the shared
-        zero-overhead :data:`~repro.obs.trace.NULL_TRACER`.  Tracing is
-        observation only: it never touches the engine's random generator or
-        arithmetic, so traced runs are behaviourally bit-identical to
-        untraced runs.
+        ``run → batch → {route, incremental_count, evict, compact,
+        drift_decide, migrate}``; when the backend reports worker pids (the
+        multiprocess pool, sticky workers) the counting span additionally
+        stitches one child span per machine on the track of the pid that
+        ran it.  Defaults to the shared zero-overhead
+        :data:`~repro.obs.trace.NULL_TRACER`.  Tracing is observation only:
+        it never touches the engine's random generator or arithmetic, so
+        traced runs are behaviourally bit-identical to untraced runs.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; the engine
         folds every batch's :class:`~repro.streaming.metrics.BatchMetrics`
@@ -232,9 +217,7 @@ class StreamingJoinEngine:
         policy: RepartitioningPolicy | None = None,
         backend: ExecutionBackend | None = None,
         window: WindowPolicy | str | None = None,
-        counting: str = "incremental",
         repartition_mode: str = "partial",
-        compact_history: bool = True,
         histogram: IncrementalHistogram | None = None,
         sample_capacity: int = 2048,
         sample_decay: float = 0.8,
@@ -254,51 +237,22 @@ class StreamingJoinEngine:
                 f"unknown repartition_mode {repartition_mode!r} "
                 f"(expected one of {MIGRATION_MODES})"
             )
-        if counting not in COUNTING_MODES:
+        try:
+            self._transposed = condition.transposed
+        except NotImplementedError as error:
             raise ValueError(
-                f"unknown counting mode {counting!r} "
-                f"(expected one of {COUNTING_MODES})"
-            )
+                f"condition {condition!r} does not define .transposed, "
+                "which incremental counting needs to search the sorted "
+                "R1 state"
+            ) from error
         self.window = make_window(window)
-        if counting == "recount" and not self.window.is_unbounded:
-            raise ValueError(
-                "counting='recount' differences full per-region recounts and "
-                "cannot account for evicted state; windowed runs require "
-                "counting='incremental'"
-            )
         self.num_machines = num_machines
         self.condition = condition
         self.weight_fn = weight_fn
         self.policy = policy or DriftAdaptiveEWHPolicy()
         self._owns_backend = backend is None
         self.backend = backend or SimulatedBackend()
-        # A state-owning backend (sticky workers) keeps each machine's
-        # SortedRegionState resident on its side; the engine then drives the
-        # state-ownership protocol (bind / count_batch / evict_state /
-        # rebase_state / install_state) and maintains only an arrival-index
-        # mirror.  That protocol *is* incremental counting, so recount mode
-        # cannot run on such a backend.
-        self._stateful = bool(getattr(self.backend, "owns_state", False))
-        if self._stateful and counting != "incremental":
-            raise ValueError(
-                f"backend {self.backend.name!r} owns its join state "
-                "(owns_state=True), which requires counting='incremental' -- "
-                "the recount baseline needs the full region state engine-side"
-            )
-        self.counting = counting
-        if counting == "incremental":
-            try:
-                self._transposed = condition.transposed
-            except NotImplementedError as error:
-                raise ValueError(
-                    f"condition {condition!r} does not define .transposed, "
-                    "which incremental counting needs to search the sorted "
-                    "R1 state; pass counting='recount' instead"
-                ) from error
-        else:
-            self._transposed = None
         self.repartition_mode = repartition_mode
-        self.compact_history = compact_history
         self.histogram = histogram or IncrementalHistogram(
             num_machines,
             weight_fn,
@@ -372,121 +326,17 @@ class StreamingJoinEngine:
             per_machine[machine] = np.asarray(local, dtype=np.int64) + offset
         return per_machine
 
-    def _count_incremental(
-        self,
-        state1: list[SortedRegionState],
-        state2: list[SortedRegionState],
-        new1: list[np.ndarray],
-        new2: list[np.ndarray],
-        history1: np.ndarray,
-        history2: np.ndarray,
-    ) -> tuple[np.ndarray, RegionJoinResult]:
-        """Fold a batch's arrivals into the sorted state and count the delta.
-
-        Per machine the delta decomposes exactly as
-        ``C(new1, state2 + new2) + C(state1, new2)`` -- the first term is
-        counted by searching the (just-updated) sorted R2 state per new R1
-        key, the second by searching the pre-insert sorted R1 state per new
-        R2 key under the transposed condition.  Both are ``O(new log
-        state)``, dispatched to the backend as one 2J-task execution (a
-        single pool round-trip under the multiprocess backend); no
-        full-region recount happens.  Returns the per-machine deltas and
-        the backend execution (for its timings and serialization bytes).
-
-        The whole fold-and-count is wrapped in an ``incremental_count``
-        span; under a profiling backend the execution's worker pids are
-        stitched as per-worker child spans.
-        """
-        J = self.num_machines
-        with self.tracer.span(
-            "incremental_count", category="stage", tasks=2 * J
-        ) as span:
-            tasks: list[tuple[np.ndarray, np.ndarray]] = []
-            conditions = []
-            for machine in range(J):
-                new_keys1 = history1[new1[machine]]
-                new_keys2 = history2[new2[machine]]
-                old_keys1 = state1[machine].keys
-                state2[machine].insert(new2[machine], new_keys2)
-                tasks.append((new_keys1, state2[machine].keys))
-                conditions.append(self.condition)
-                tasks.append((new_keys2, old_keys1))
-                conditions.append(self._transposed)
-                state1[machine].insert(new1[machine], new_keys1)
-            execution = self.backend.join_regions(
-                tasks, conditions, keys2_sorted=True
-            )
-        self._stitch_workers(execution, span)
-        deltas = execution.per_machine_output.reshape(J, 2).sum(axis=1)
-        combined = RegionJoinResult(
-            per_machine_output=deltas,
-            per_machine_seconds=execution.per_machine_seconds.reshape(J, 2).sum(
-                axis=1
-            ),
-            wall_seconds=execution.wall_seconds,
-            bytes_pickled=execution.bytes_pickled,
-            bytes_unpickled=execution.bytes_unpickled,
-        )
-        return deltas, combined
-
-    def _count_resident(
-        self,
-        new1: list[np.ndarray],
-        new2: list[np.ndarray],
-        history1: np.ndarray,
-        history2: np.ndarray,
-    ) -> tuple[np.ndarray, RegionJoinResult]:
-        """Count a batch's delta against state resident on a sticky backend.
-
-        The stateful twin of :meth:`_count_incremental`: the fold-and-count
-        happens *worker-side* against each worker's resident state, so the
-        engine ships only the per-machine arrival index/key arrays (over
-        the backend's shared-memory arena) instead of full region state.
-        The workers replay the exact delta decomposition
-        ``C(new1, state2 + new2) + C(state1, new2)``, so the per-machine
-        deltas are bit-identical to the in-process path.  Serialization
-        bytes are not on the returned execution -- they accrue on the
-        backend across the whole batch's commands and are drained once per
-        batch (``drain_channel_bytes``).
-        """
-        J = self.num_machines
-        with self.tracer.span(
-            "incremental_count", category="stage", tasks=2 * J
-        ) as span:
-            execution = self.backend.count_batch(
-                new1, new2, history1, history2
-            )
-        self._stitch_workers(execution, span)
-        return execution.per_machine_output, execution
-
-    @staticmethod
-    def _merge_sorted(held: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Merge new arrival indices into a sorted ownership mirror.
-
-        The engine's per-machine mirror of a sticky worker's resident
-        arrival indices -- the index sets migration planning and resident
-        accounting read without any worker round-trip.  Kept sorted so
-        eviction can drop expired indices with the same ``searchsorted``
-        membership pass the live sets use.
-        """
-        incoming = np.sort(np.asarray(incoming, dtype=np.int64))
-        if len(incoming) == 0:
-            return held
-        if len(held) == 0:
-            return incoming
-        return np.insert(held, np.searchsorted(held, incoming), incoming)
-
     def _stitch_workers(self, execution: RegionJoinResult, span) -> None:
-        """Emit per-worker child spans for one backend execution.
+        """Emit per-worker child spans for one counting execution.
 
-        Only the multiprocess backend reports ``worker_pids`` (and only for
-        the tasks it actually dispatched), so simulated runs emit no worker
-        spans at all -- which is what keeps simulated-mode traces
+        Only process-backed backends report ``worker_pids`` (``-1`` for a
+        machine nothing was dispatched for), so simulated runs emit no
+        worker spans at all -- which is what keeps simulated-mode traces
         byte-identical across runs: worker seconds are real wall-clock
         times and would otherwise leak nondeterminism into the trace.
         Each child starts at the parent span's start and lands on a per-pid
-        Chrome-trace track, so Perfetto shows the pool's real parallelism
-        under the dispatching span.
+        Chrome-trace track, so Perfetto shows the real parallelism under
+        the dispatching span.
         """
         pids = execution.worker_pids
         if pids is None or not self.tracer.enabled:
@@ -504,22 +354,6 @@ class StreamingJoinEngine:
                 thread_name=f"worker {pid}",
                 task=task,
             )
-
-    @staticmethod
-    def _accumulate_bytes(
-        total: "int | None", measured: "int | None"
-    ) -> "int | None":
-        """Fold one execution's byte count into a batch total.
-
-        ``None`` means "not measured" on both sides -- a batch only gets a
-        byte count once at least one of its executions went through a
-        profiling serialization channel, so simulated batches keep ``None``
-        (rendered ``-`` in the streaming tables) rather than a misleading
-        ``0``.
-        """
-        if measured is None:
-            return total
-        return (0 if total is None else total) + measured
 
     def _meter_batch(self, metrics: BatchMetrics) -> None:
         """Fold one batch's metrics into the attached registry and pulse it.
@@ -555,98 +389,21 @@ class StreamingJoinEngine:
         registry.histogram("stream.max_load").observe(metrics.max_load)
         registry.pulse()
 
-    @staticmethod
-    def _remove_sorted(live: np.ndarray, expired: np.ndarray) -> np.ndarray:
-        """Drop ``expired`` (a sorted subset) from the sorted ``live`` array.
-
-        ``O(live log expired)`` membership via ``searchsorted`` -- cheaper
-        than ``np.isin``, which re-sorts both arrays, and this runs on every
-        windowed batch.
-        """
-        positions = np.searchsorted(expired, live)
-        positions[positions == len(expired)] = len(expired) - 1
-        return live[expired[positions] != live]
-
-    def _evict(
-        self,
-        metrics: BatchMetrics,
-        state1: list[SortedRegionState],
-        state2: list[SortedRegionState],
-        live1: np.ndarray,
-        live2: np.ndarray,
-        starts1: list[int],
-        starts2: list[int],
-        history1_len: int,
-        history2_len: int,
-        rng: np.random.Generator,
-        held1: "list[np.ndarray] | None" = None,
-        held2: "list[np.ndarray] | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the window policy after a batch; charge evictions to metrics.
-
-        Returns the updated per-side live index sets.  Per-machine region
-        state is trimmed in place; the freed entries and bytes land in
-        ``metrics.tuples_evicted`` / ``metrics.bytes_freed``.
-
-        On a state-owning backend the engine holds no region state --
-        ``held1`` / ``held2`` are its per-machine ownership mirrors.  The
-        mirrors are trimmed here and the expired sets shipped worker-side
-        (``evict_state``); the workers report how many entries they really
-        dropped, and a mismatch with the mirrors raises -- the mirror *is*
-        the engine's claim about worker state, and a divergence means
-        migration planning would move state that does not exist.
-        """
-        expired1 = self.window.evictions(live1, starts1, history1_len, rng)
-        expired2 = self.window.evictions(live2, starts2, history2_len, rng)
-        dropped = 0
-        if len(expired1):
-            live1 = self._remove_sorted(live1, expired1)
-            for state in state1:
-                dropped += state.evict(expired1)
-            if held1 is not None:
-                for machine, held in enumerate(held1):
-                    kept = self._remove_sorted(held, expired1)
-                    dropped += len(held) - len(kept)
-                    held1[machine] = kept
-        if len(expired2):
-            live2 = self._remove_sorted(live2, expired2)
-            for state in state2:
-                dropped += state.evict(expired2)
-            if held2 is not None:
-                for machine, held in enumerate(held2):
-                    kept = self._remove_sorted(held, expired2)
-                    dropped += len(held) - len(kept)
-                    held2[machine] = kept
-        if self._stateful and (len(expired1) or len(expired2)):
-            worker_dropped = self.backend.evict_state(expired1, expired2)
-            if worker_dropped != dropped:
-                raise RuntimeError(
-                    f"sticky workers dropped {worker_dropped} state entries "
-                    f"but the engine's ownership mirror expected {dropped}; "
-                    "worker-resident state has diverged from the engine"
-                )
-        metrics.tuples_evicted = dropped
-        metrics.bytes_freed = dropped * SortedRegionState.BYTES_PER_TUPLE
-        return live1, live2
-
     def _compact_side(
-        self,
-        history: np.ndarray,
-        live: np.ndarray,
-        starts: list[int],
-        states: list[SortedRegionState],
+        self, history: np.ndarray, live: np.ndarray, starts: list[int]
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Trim one side's dead history prefix and rebase all its indices.
+        """Trim one side's dead history prefix and rebase its bookkeeping.
 
         The window's safe trim point (``min(live)``, or the whole history
         once nothing is live) bounds every arrival index any future batch
         can reference, so the key history below it is copied out, the
-        batch-start list drops entries below it, and the live set, the
-        remaining starts and every machine's state indices shift down by
-        the trimmed amount.  Returns the compacted history, the rebased
-        live set and how many entries were trimmed.  Pure bookkeeping: the
-        keys any index resolves to are unchanged, so routing, counting and
-        migration are bit-identical with or without compaction.
+        batch-start list drops entries below it, and the live set and the
+        remaining starts shift down by the trimmed amount.  Returns the
+        compacted history, the rebased live set and how many entries were
+        trimmed (the caller rebases the region state by the same amount).
+        Pure bookkeeping: the keys any index resolves to are unchanged, so
+        routing, counting and migration are bit-identical with or without
+        compaction.
         """
         trim = self.window.trim_point(live, len(history))
         if trim <= 0:
@@ -659,9 +416,66 @@ class StreamingJoinEngine:
         while drop < len(starts) and starts[drop] < trim:
             drop += 1
         starts[:] = [start - trim for start in starts[drop:]]
-        for state in states:
-            state.rebase(trim)
         return history, live, trim
+
+    def _install(
+        self, assignments1: list[np.ndarray], assignments2: list[np.ndarray]
+    ) -> None:
+        """Replace every machine's region state with complete assignments.
+
+        The one install path: a drift migration and :meth:`resize` install
+        their migration plan's new assignments, :meth:`_restore` a
+        checkpoint's per-machine indices.  The keys are looked up in the
+        run's (compacted) histories.
+        """
+        s = self._state
+        s.regions.install_state(assignments1, assignments2, s.history1, s.history2)
+
+    def _adopt(
+        self, replacement: Partitioning, machines: int, builds_before: int
+    ) -> "tuple[MigrationPlan, np.ndarray, float]":
+        """Migrate the live state onto ``replacement`` over ``machines`` machines.
+
+        Plans the migration from the region state's current indices,
+        resizes the state when the fleet changes, installs the new
+        assignments and adopts the partitioning and its region-to-machine
+        mapping.  Returns the plan without its O(history) index arrays (a
+        result object must not pin full-history snapshots per rebuild),
+        the per-machine migration load, and the rebuild charge (zero
+        unless the histogram rebuilt since ``builds_before``), which is
+        spread over the new fleet.
+        """
+        s = self._state
+        windowed = not self.window.is_unbounded
+        indices1, indices2 = s.regions.state_indices()
+        plan = plan_migration(
+            indices1,
+            indices2,
+            replacement,
+            s.history1,
+            s.history2,
+            machines,
+            s.rng,
+            mode=self.repartition_mode,
+            live1=s.live1 if windowed else None,
+            live2=s.live2 if windowed else None,
+        )
+        if machines != self.num_machines:
+            self.num_machines = machines
+            s.regions.resize(machines)
+        self._install(plan.new_assignments1, plan.new_assignments2)
+        s.partitioning = replacement
+        s.region_to_machine = plan.region_to_machine
+        load = (
+            self.migration_cost_factor
+            * self.weight_fn.input_cost
+            * plan.per_machine_arrivals.astype(np.float64)
+        )
+        rebuild_cost = 0.0
+        if self.histogram.rebuilds > builds_before:
+            rebuild_cost = self._rebuild_charge()
+            load = load + rebuild_cost
+        return replace(plan, new_assignments1=[], new_assignments2=[]), load, rebuild_cost
 
     # ------------------------------------------------------------------
     # Main loop
@@ -690,7 +504,6 @@ class StreamingJoinEngine:
             machines=self.num_machines,
             backend=self.backend.name,
             window=self.window.name,
-            counting=self.counting,
         )
         self._run_span.__enter__()
 
@@ -715,29 +528,14 @@ class StreamingJoinEngine:
         s.rng = np.random.default_rng(self.seed)
         s.history1 = np.empty(0, dtype=np.float64)
         s.history2 = np.empty(0, dtype=np.float64)
-        if self._stateful:
-            # The workers own the region state; the engine keeps only a
-            # sorted per-machine mirror of the arrival indices each worker
-            # holds (enough for migration planning, eviction accounting and
-            # resident metrics, with no state readback ever).
-            self.backend.bind(J, self.condition, self._transposed)
-            s.state1 = []
-            s.state2 = []
-            empty_index = np.empty(0, dtype=np.int64)
-            s.held1 = [empty_index] * J
-            s.held2 = [empty_index] * J
-        else:
-            s.state1 = [SortedRegionState() for _ in range(J)]
-            s.state2 = [SortedRegionState() for _ in range(J)]
-            s.held1 = s.held2 = None
-        s.prev_outputs = np.zeros(J, dtype=np.int64)
+        s.regions = self.backend.bind(J, self.condition, self._transposed)
         s.partitioning = None
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
         # Liveness bookkeeping (windowed runs only): sorted arrival indices
-        # still live per side and each batch's arrival-index start.  With
-        # compaction, all stored indices are rebased by the amount trimmed
-        # so far ("engine coordinates") and these structures stay O(window).
+        # still live per side and each batch's arrival-index start.  All
+        # stored indices are rebased by the amount compaction trimmed so
+        # far ("engine coordinates"), so these structures stay O(window).
         s.live1 = np.empty(0, dtype=np.int64)
         s.live2 = np.empty(0, dtype=np.int64)
         s.starts1 = []
@@ -749,7 +547,6 @@ class StreamingJoinEngine:
             num_machines=J,
             backend=self.backend.name,
             window=self.window.name,
-            counting=self.counting,
             join_clock=self.backend.clock_domain,
         )
         s.cumulative = np.zeros(J, dtype=np.float64)
@@ -841,488 +638,305 @@ class StreamingJoinEngine:
                 return None
             self._skip_through = None
         s = self._state
-        J = self.num_machines
-        weight = self.weight_fn
-        windowed = not self.window.is_unbounded
-        compacting = windowed and self.compact_history
-        incremental = self.counting == "incremental"
-        stateful = self._stateful
-        tracer = self.tracer
-        rng = s.rng
-        history1, history2 = s.history1, s.history2
-        state1, state2 = s.state1, s.state2
-        held1, held2 = s.held1, s.held2
-        prev_outputs = s.prev_outputs
-        partitioning = s.partitioning
-        region_to_machine = s.region_to_machine
-        live1, live2 = s.live1, s.live2
-        starts1, starts2 = s.starts1, s.starts2
-
         start = perf_counter()
-        # Liveness and windows key off the engine's own
-        # processed-batch count, so any strictly increasing source
-        # numbering works -- but a non-monotone one would silently
-        # reorder time, and a gap in a contiguous stream usually
-        # means lost data, so gaps must be opted into
-        # (shed/coalesced pipelines, renumbered replays).
-        if s.last_batch_index is not None:
-            if batch.index <= s.last_batch_index:
-                raise ValueError(
-                    f"stream batch indices must be strictly "
-                    f"increasing, got batch {batch.index} after "
-                    f"{s.last_batch_index}"
-                )
-            if not allow_gaps and batch.index != s.last_batch_index + 1:
-                raise ValueError(
-                    f"stream batch indices must be contiguous, got "
-                    f"batch {batch.index} after {s.last_batch_index}; "
-                    "pass allow_gaps=True for streams that "
-                    "legitimately skip indices (shed/coalesced "
-                    "pipelines, renumbered sources)"
-                )
-        s.last_batch_index = batch.index
-        s.position += 1
-        position = s.position
-        batch_span = tracer.span(
+        self._advance(batch, allow_gaps)
+        with self.tracer.span(
             "batch",
             category="batch",
             index=batch.index,
-            position=position,
+            position=s.position,
             tuples=batch.num_tuples,
-        )
-        if True:
-            with batch_span:
-                    if self.policy.needs_statistics(partitioning is not None):
-                        self.histogram.observe(batch, rng)
-
-                    rebuild_cost = 0.0
-                    initial_build = False
-                    if partitioning is None and self.policy.ready(self.histogram):
-                        builds_before = self.histogram.rebuilds
-                        partitioning = self.policy.initial_partitioning(
-                            self.histogram, self.condition, rng
-                        )
-                        if self.histogram.rebuilds > builds_before:
-                            rebuild_cost = self._rebuild_charge()
-                        initial_build = True
-
-                    offset1, offset2 = len(history1), len(history2)
-                    history1 = self._append_history(history1, batch.keys1)
-                    history2 = self._append_history(history2, batch.keys2)
-                    if windowed:
-                        starts1.append(offset1)
-                        starts2.append(offset2)
-                        live1 = np.concatenate(
-                            [
-                                live1,
-                                np.arange(
-                                    offset1, len(history1), dtype=np.int64
-                                ),
-                            ]
-                        )
-                        live2 = np.concatenate(
-                            [
-                                live2,
-                                np.arange(
-                                    offset2, len(history2), dtype=np.int64
-                                ),
-                            ]
-                        )
-
-                    join_seconds = 0.0
-                    per_machine_join_seconds = np.zeros(J)
-                    bytes_pickled: int | None = None
-                    bytes_unpickled: int | None = None
-                    bytes_shm: int | None = None
-                    if partitioning is None:
-                        # One side is still entirely unseen, so no
-                        # partitioning can be built and no output is possible
-                        # yet; the arrivals just accumulate in the (unrouted)
-                        # history.
-                        arrivals = np.zeros(J, dtype=np.int64)
-                        deltas = np.zeros(J, dtype=np.int64)
-                    else:
-                        with tracer.span(
-                            "route",
-                            category="stage",
-                            initial_build=initial_build,
-                        ):
-                            if initial_build:
-                                # Tuples that arrived before the first build
-                                # were never shipped anywhere: route the
-                                # retained (live) history as one big batch of
-                                # arrivals into the empty state.
-                                if windowed:
-                                    new1 = [
-                                        live1[local]
-                                        for local in pad_assignments(
-                                            partitioning.assign_r1(
-                                                history1[live1], rng
-                                            ),
-                                            J,
-                                        )
-                                    ]
-                                    new2 = [
-                                        live2[local]
-                                        for local in pad_assignments(
-                                            partitioning.assign_r2(
-                                                history2[live2], rng
-                                            ),
-                                            J,
-                                        )
-                                    ]
-                                else:
-                                    new1 = pad_assignments(
-                                        partitioning.assign_r1(history1, rng), J
-                                    )
-                                    new2 = pad_assignments(
-                                        partitioning.assign_r2(history2, rng), J
-                                    )
-                                region_to_machine = np.arange(J, dtype=np.int64)
-                            else:
-                                # Route only the batch's arrivals and fold
-                                # them into the held state of the machine
-                                # owning each region.
-                                new1 = self._globalise(
-                                    partitioning.assign_r1(batch.keys1, rng),
-                                    offset1,
-                                    region_to_machine,
-                                    J,
-                                )
-                                new2 = self._globalise(
-                                    partitioning.assign_r2(batch.keys2, rng),
-                                    offset2,
-                                    region_to_machine,
-                                    J,
-                                )
-                            arrivals = np.array(
-                                [
-                                    len(a) + len(b)
-                                    for a, b in zip(new1, new2)
-                                ],
-                                dtype=np.int64,
-                            )
-
-                        if stateful:
-                            deltas, execution = self._count_resident(
-                                new1, new2, history1, history2
-                            )
-                            for machine in range(J):
-                                held1[machine] = self._merge_sorted(
-                                    held1[machine], new1[machine]
-                                )
-                                held2[machine] = self._merge_sorted(
-                                    held2[machine], new2[machine]
-                                )
-                        elif incremental:
-                            deltas, execution = self._count_incremental(
-                                state1, state2, new1, new2, history1, history2
-                            )
-                        else:
-                            # Legacy recount: fold the arrivals in, re-count
-                            # each region's full held state and difference
-                            # against the previous cumulative count.
-                            # keys2_sorted is deliberately NOT passed: the
-                            # legacy engine sorted every region from scratch
-                            # each batch, and recount exists to reproduce
-                            # that cost profile as the speedup baseline.
-                            with tracer.span(
-                                "join", category="stage", tasks=J
-                            ) as join_span:
-                                for machine in range(J):
-                                    state1[machine].insert(
-                                        new1[machine], history1[new1[machine]]
-                                    )
-                                    state2[machine].insert(
-                                        new2[machine], history2[new2[machine]]
-                                    )
-                                execution = self.backend.join_regions(
-                                    [
-                                        (s1.keys, s2.keys)
-                                        for s1, s2 in zip(state1, state2)
-                                    ],
-                                    self.condition,
-                                )
-                            self._stitch_workers(execution, join_span)
-                            totals = execution.per_machine_output
-                            deltas = totals - prev_outputs
-                            prev_outputs = totals
-                        join_seconds += execution.wall_seconds
-                        per_machine_join_seconds += execution.per_machine_seconds
-                        bytes_pickled = self._accumulate_bytes(
-                            bytes_pickled, execution.bytes_pickled
-                        )
-                        bytes_unpickled = self._accumulate_bytes(
-                            bytes_unpickled, execution.bytes_unpickled
-                        )
-
-                    loads = (
-                        weight.input_cost * arrivals.astype(np.float64)
-                        + weight.output_cost * deltas.astype(np.float64)
-                        + rebuild_cost
-                    )
-                    mean_load = float(loads.mean()) if J else 0.0
-                    live_imbalance = (
-                        float(loads.max()) / mean_load if mean_load > 0 else 1.0
-                    )
-                    metrics = BatchMetrics(
-                        batch_index=batch.index,
-                        stream_position=position,
-                        new_tuples=batch.num_tuples,
-                        per_machine_load=loads,
-                        output_delta=int(deltas.sum()),
-                        rebuild_cost=rebuild_cost,
-                        live_imbalance=live_imbalance,
-                        predicted_imbalance=self.policy.predicted_imbalance(
-                            self.histogram
-                        ),
-                        per_machine_output_delta=deltas
-                        if partitioning is not None
-                        else None,
-                        join_clock=self.backend.clock_domain,
-                    )
-
-                    # A resize() between batches moved state immediately but
-                    # parked its charges; fold them into this batch, after
-                    # live_imbalance (computed above from the batch's own
-                    # loads) exactly like a drift migration's charges land
-                    # after it below.
-                    if s.pending_resize is not None:
-                        pending = s.pending_resize
-                        s.pending_resize = None
-                        metrics.resized_from = pending["resized_from"]
-                        metrics.migrated_tuples += pending["migrated"]
-                        metrics.rebuild_cost += pending["rebuild_cost"]
-                        metrics.per_machine_load = (
-                            metrics.per_machine_load + pending["load"]
-                        )
-                        metrics.migration_plan = pending["plan"]
-
-                    # Window eviction runs after the batch is counted and
-                    # *before* any repartitioning, so a migration only ever
-                    # ships live state.
-                    if windowed:
-                        with tracer.span(
-                            "evict", category="stage"
-                        ) as evict_span:
-                            live1, live2 = self._evict(
-                                metrics, state1, state2, live1, live2,
-                                starts1, starts2,
-                                len(history1), len(history2), rng,
-                                held1, held2,
-                            )
-                            evict_span.set(evicted=metrics.tuples_evicted)
-                        if compacting:
-                            # Compact the dead history prefix the eviction
-                            # exposed: trim both sides below their safe trim
-                            # points and rebase every stored arrival index by
-                            # the same amount.
-                            with tracer.span(
-                                "compact", category="stage"
-                            ) as compact_span:
-                                history1, live1, trim1 = self._compact_side(
-                                    history1, live1, starts1, state1
-                                )
-                                history2, live2, trim2 = self._compact_side(
-                                    history2, live2, starts2, state2
-                                )
-                                if stateful and (trim1 or trim2):
-                                    # The ownership mirrors and the workers'
-                                    # resident indices rebase by the same
-                                    # trims, so engine coordinates stay in
-                                    # lock-step on both sides of the channel.
-                                    held1 = [
-                                        held - trim1 for held in held1
-                                    ]
-                                    held2 = [
-                                        held - trim2 for held in held2
-                                    ]
-                                    self.backend.rebase_state(trim1, trim2)
-                                metrics.history_tuples_trimmed = trim1 + trim2
-                                compact_span.set(trimmed=trim1 + trim2)
-
-                    # Give the policy a chance to swap partitionings;
-                    # migration and rebuild charges land on this batch.
-                    # Before the initial build there is nothing to replace.
-                    builds_before = self.histogram.rebuilds
-                    if partitioning is not None:
-                        with tracer.span(
-                            "drift_decide", category="stage"
-                        ) as drift_span:
-                            replacement = self.policy.maybe_repartition(
-                                self.histogram, metrics, self.condition, rng
-                            )
-                            drift_span.set(
-                                repartition=replacement is not None
-                            )
-                    else:
-                        replacement = None
-                    if replacement is not None:
-                        with tracer.span(
-                            "migrate",
-                            category="stage",
-                            mode=self.repartition_mode,
-                        ) as migrate_span:
-                            plan = plan_migration(
-                                held1
-                                if stateful
-                                else [state.index for state in state1],
-                                held2
-                                if stateful
-                                else [state.index for state in state2],
-                                replacement,
-                                history1,
-                                history2,
-                                J,
-                                rng,
-                                mode=self.repartition_mode,
-                                live1=live1 if windowed else None,
-                                live2=live2 if windowed else None,
-                            )
-                            partitioning = replacement
-                            if stateful:
-                                # State moves worker-to-worker through the
-                                # shared arena: every machine's complete
-                                # post-migration index/key arrays are written
-                                # once and each worker rebuilds its machines
-                                # from them -- full state never crosses the
-                                # pickle channel.
-                                self.backend.install_state(
-                                    plan.new_assignments1,
-                                    plan.new_assignments2,
-                                    history1,
-                                    history2,
-                                )
-                                held1 = [
-                                    np.sort(
-                                        np.asarray(
-                                            indices, dtype=np.int64
-                                        )
-                                    )
-                                    for indices in plan.new_assignments1
-                                ]
-                                held2 = [
-                                    np.sort(
-                                        np.asarray(
-                                            indices, dtype=np.int64
-                                        )
-                                    )
-                                    for indices in plan.new_assignments2
-                                ]
-                            else:
-                                state1 = [
-                                    SortedRegionState.from_indices(
-                                        indices, history1
-                                    )
-                                    for indices in plan.new_assignments1
-                                ]
-                                state2 = [
-                                    SortedRegionState.from_indices(
-                                        indices, history2
-                                    )
-                                    for indices in plan.new_assignments2
-                                ]
-                            region_to_machine = plan.region_to_machine
-                            if not incremental:
-                                # The recount baseline differences cumulative
-                                # counts, so the post-migration layout must
-                                # be re-counted to reset the baseline.
-                                # Incremental counting charges output at
-                                # arrival time and needs no recount here.
-                                with tracer.span(
-                                    "join", category="stage", tasks=J
-                                ) as join_span:
-                                    execution = self.backend.join_regions(
-                                        [
-                                            (s1.keys, s2.keys)
-                                            for s1, s2 in zip(state1, state2)
-                                        ],
-                                        self.condition,
-                                    )
-                                self._stitch_workers(execution, join_span)
-                                join_seconds += execution.wall_seconds
-                                per_machine_join_seconds += (
-                                    execution.per_machine_seconds
-                                )
-                                bytes_pickled = self._accumulate_bytes(
-                                    bytes_pickled, execution.bytes_pickled
-                                )
-                                bytes_unpickled = self._accumulate_bytes(
-                                    bytes_unpickled, execution.bytes_unpickled
-                                )
-                                prev_outputs = execution.per_machine_output
-                            migration_load = (
-                                self.migration_cost_factor
-                                * weight.input_cost
-                                * plan.per_machine_arrivals.astype(np.float64)
-                            )
-                            if self.histogram.rebuilds > builds_before:
-                                charge = self._rebuild_charge()
-                                migration_load = migration_load + charge
-                                metrics.rebuild_cost += charge
-                            metrics.per_machine_load = (
-                                metrics.per_machine_load + migration_load
-                            )
-                            metrics.migrated_tuples += plan.total_moved
-                            metrics.repartitioned = True
-                            # Keep the plan's accounting for reports and
-                            # equivalence tests, but drop the O(history)
-                            # state index arrays -- the engine's own state
-                            # already holds them, and a result object must
-                            # not pin full-history snapshots per rebuild.
-                            metrics.migration_plan = replace(
-                                plan, new_assignments1=[], new_assignments2=[]
-                            )
-                            migrate_span.set(moved=plan.total_moved)
-
-                    if stateful:
-                        # One drain covers every command the batch issued
-                        # (count, evict, rebase, install); batches that
-                        # issued none keep None, like an unprofiled run.
-                        drained = self.backend.drain_channel_bytes()
-                        bytes_pickled = self._accumulate_bytes(
-                            bytes_pickled, drained[0]
-                        )
-                        bytes_unpickled = self._accumulate_bytes(
-                            bytes_unpickled, drained[1]
-                        )
-                        bytes_shm = self._accumulate_bytes(
-                            bytes_shm, drained[2]
-                        )
-                        metrics.resident_tuples = sum(
-                            len(held) for held in held1
-                        ) + sum(len(held) for held in held2)
-                    else:
-                        metrics.resident_tuples = sum(
-                            len(s) for s in state1
-                        ) + sum(len(s) for s in state2)
-                    metrics.resident_history_tuples = len(history1) + len(
-                        history2
-                    )
-                    metrics.resident_live_entries = len(live1) + len(live2)
-                    metrics.join_seconds = join_seconds
-                    metrics.per_machine_join_seconds = per_machine_join_seconds
-                    metrics.bytes_pickled = bytes_pickled
-                    metrics.bytes_unpickled = bytes_unpickled
-                    metrics.bytes_shm = bytes_shm
-                    metrics.wall_seconds = perf_counter() - start
-                    batch_span.set(
-                        output_delta=metrics.output_delta,
-                        repartitioned=metrics.repartitioned,
-                    )
-        # Write the rebound loop locals back onto the run state (the lists
-        # starts1/starts2 are mutated in place and stay aliased).
-        s.history1, s.history2 = history1, history2
-        s.state1, s.state2 = state1, state2
-        s.held1, s.held2 = held1, held2
-        s.prev_outputs = prev_outputs
-        s.partitioning = partitioning
-        s.region_to_machine = region_to_machine
-        s.live1, s.live2 = live1, live2
+        ) as batch_span:
+            rebuild_cost, initial_build = self._observe(batch)
+            offset1, offset2 = self._append(batch)
+            routed = None
+            if s.partitioning is not None:
+                routed = self._route(batch, offset1, offset2, initial_build)
+            metrics = self._count(batch, routed, rebuild_cost)
+            self._fold_pending_resize(metrics)
+            # Eviction runs after the batch is counted and *before* any
+            # repartitioning, so a migration only ever ships live state.
+            if not self.window.is_unbounded:
+                self._evict(metrics)
+                self._compact(metrics)
+            builds_before = self.histogram.rebuilds
+            replacement = self._drift_decide(metrics)
+            if replacement is not None:
+                self._migrate(metrics, replacement, builds_before)
+            self._account(metrics)
+            metrics.wall_seconds = perf_counter() - start
+            batch_span.set(
+                output_delta=metrics.output_delta,
+                repartitioned=metrics.repartitioned,
+            )
         s.cumulative += metrics.per_machine_load
         s.result.batches.append(metrics)
         self._meter_batch(metrics)
         return metrics
+
+    # ------------------------------------------------------------------
+    # Batch stages, in process_batch order
+    # ------------------------------------------------------------------
+    def _advance(self, batch: MicroBatch, allow_gaps: bool) -> None:
+        """Validate the batch's index and advance the stream position.
+
+        Liveness and windows key off the engine's own processed-batch
+        count, so any strictly increasing source numbering works -- but a
+        non-monotone one would silently reorder time, and a gap in a
+        contiguous stream usually means lost data, so gaps must be opted
+        into (shed/coalesced pipelines, renumbered replays).
+        """
+        s = self._state
+        if s.last_batch_index is not None:
+            if batch.index <= s.last_batch_index:
+                raise ValueError(
+                    f"stream batch indices must be strictly increasing, got "
+                    f"batch {batch.index} after {s.last_batch_index}"
+                )
+            if not allow_gaps and batch.index != s.last_batch_index + 1:
+                raise ValueError(
+                    f"stream batch indices must be contiguous, got batch "
+                    f"{batch.index} after {s.last_batch_index}; pass "
+                    "allow_gaps=True for streams that legitimately skip "
+                    "indices (shed/coalesced pipelines, renumbered sources)"
+                )
+        s.last_batch_index = batch.index
+        s.position += 1
+
+    def _observe(self, batch: MicroBatch) -> tuple[float, bool]:
+        """Feed the sample state; build the initial partitioning once ready.
+
+        Returns the batch's rebuild charge and whether this batch built the
+        initial partitioning.
+        """
+        s = self._state
+        if self.policy.needs_statistics(s.partitioning is not None):
+            self.histogram.observe(batch, s.rng)
+        if s.partitioning is not None or not self.policy.ready(self.histogram):
+            return 0.0, False
+        builds_before = self.histogram.rebuilds
+        s.partitioning = self.policy.initial_partitioning(
+            self.histogram, self.condition, s.rng
+        )
+        rebuilt = self.histogram.rebuilds > builds_before
+        return (self._rebuild_charge() if rebuilt else 0.0), True
+
+    def _append(self, batch: MicroBatch) -> tuple[int, int]:
+        """Append the arrivals to the histories (and live sets); return offsets."""
+        s = self._state
+        offset1, offset2 = len(s.history1), len(s.history2)
+        s.history1 = self._append_history(s.history1, batch.keys1)
+        s.history2 = self._append_history(s.history2, batch.keys2)
+        if not self.window.is_unbounded:
+            s.starts1.append(offset1)
+            s.starts2.append(offset2)
+            s.live1 = np.concatenate(
+                [s.live1, np.arange(offset1, len(s.history1), dtype=np.int64)]
+            )
+            s.live2 = np.concatenate(
+                [s.live2, np.arange(offset2, len(s.history2), dtype=np.int64)]
+            )
+        return offset1, offset2
+
+    def _route(
+        self, batch: MicroBatch, offset1: int, offset2: int, initial_build: bool
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Route the arrivals to the machines holding their regions.
+
+        Returns per-machine arrival indices for each side.  Tuples that
+        arrived before the first build were never shipped anywhere, so the
+        initial build routes the retained (live) history as one big batch
+        of arrivals into the empty state.
+        """
+        s = self._state
+        J = self.num_machines
+        partitioning = s.partitioning
+        with self.tracer.span("route", category="stage", initial_build=initial_build):
+            if initial_build:
+                s.region_to_machine = np.arange(J, dtype=np.int64)
+                windowed = not self.window.is_unbounded
+                return (
+                    route_live(
+                        partitioning.assign_r1, s.history1,
+                        s.live1 if windowed else None, J, s.rng,
+                    ),
+                    route_live(
+                        partitioning.assign_r2, s.history2,
+                        s.live2 if windowed else None, J, s.rng,
+                    ),
+                )
+            return (
+                self._globalise(
+                    partitioning.assign_r1(batch.keys1, s.rng),
+                    offset1, s.region_to_machine, J,
+                ),
+                self._globalise(
+                    partitioning.assign_r2(batch.keys2, s.rng),
+                    offset2, s.region_to_machine, J,
+                ),
+            )
+
+    def _count(
+        self,
+        batch: MicroBatch,
+        routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
+        rebuild_cost: float,
+    ) -> BatchMetrics:
+        """Count the batch's output delta against the region state.
+
+        Returns the batch's metrics with its per-machine loads.  Before the
+        initial build (``routed`` is ``None``) one side is still entirely
+        unseen: nothing is routed and no output is possible yet.
+        """
+        s = self._state
+        J = self.num_machines
+        if routed is None:
+            arrivals = np.zeros(J, dtype=np.int64)
+            deltas = np.zeros(J, dtype=np.int64)
+            join_seconds, per_machine_seconds = 0.0, np.zeros(J)
+        else:
+            new1, new2 = routed
+            arrivals = np.array(
+                [len(a) + len(b) for a, b in zip(new1, new2)], dtype=np.int64
+            )
+            with self.tracer.span(
+                "incremental_count", category="stage", tasks=2 * J
+            ) as span:
+                execution = s.regions.count_batch(
+                    new1, new2, s.history1, s.history2
+                )
+            self._stitch_workers(execution, span)
+            deltas = execution.per_machine_output
+            join_seconds = execution.wall_seconds
+            per_machine_seconds = execution.per_machine_seconds
+        weight = self.weight_fn
+        loads = (
+            weight.input_cost * arrivals.astype(np.float64)
+            + weight.output_cost * deltas.astype(np.float64)
+            + rebuild_cost
+        )
+        mean_load = float(loads.mean()) if J else 0.0
+        metrics = BatchMetrics(
+            batch_index=batch.index,
+            stream_position=s.position,
+            new_tuples=batch.num_tuples,
+            per_machine_load=loads,
+            output_delta=int(deltas.sum()),
+            rebuild_cost=rebuild_cost,
+            live_imbalance=(
+                float(loads.max()) / mean_load if mean_load > 0 else 1.0
+            ),
+            predicted_imbalance=self.policy.predicted_imbalance(self.histogram),
+            per_machine_output_delta=deltas if routed is not None else None,
+            join_clock=self.backend.clock_domain,
+        )
+        metrics.join_seconds = join_seconds
+        metrics.per_machine_join_seconds = per_machine_seconds
+        return metrics
+
+    def _fold_pending_resize(self, metrics: BatchMetrics) -> None:
+        """Charge a parked :meth:`resize` to this batch.
+
+        A resize between batches moved state immediately but parked its
+        charges; they land after ``live_imbalance`` (computed from the
+        batch's own loads), exactly like a drift migration's charges.
+        """
+        s = self._state
+        if s.pending_resize is None:
+            return
+        pending = s.pending_resize
+        s.pending_resize = None
+        metrics.resized_from = pending["resized_from"]
+        metrics.migrated_tuples += pending["migrated"]
+        metrics.rebuild_cost += pending["rebuild_cost"]
+        metrics.per_machine_load = metrics.per_machine_load + pending["load"]
+        metrics.migration_plan = pending["plan"]
+
+    def _evict(self, metrics: BatchMetrics) -> None:
+        """Apply the window policy after a batch; charge evictions to metrics.
+
+        The expired sets leave the live sets and the region state; the
+        dropped entries and bytes land in ``metrics.tuples_evicted`` /
+        ``metrics.bytes_freed``.
+        """
+        s = self._state
+        with self.tracer.span("evict", category="stage") as span:
+            expired1 = self.window.evictions(s.live1, s.starts1, len(s.history1), s.rng)
+            expired2 = self.window.evictions(s.live2, s.starts2, len(s.history2), s.rng)
+            dropped = 0
+            if len(expired1) or len(expired2):
+                if len(expired1):
+                    s.live1 = remove_sorted(s.live1, expired1)
+                if len(expired2):
+                    s.live2 = remove_sorted(s.live2, expired2)
+                dropped = s.regions.evict_state(expired1, expired2)
+            metrics.tuples_evicted = dropped
+            metrics.bytes_freed = dropped * SortedRegionState.BYTES_PER_TUPLE
+            span.set(evicted=dropped)
+
+    def _compact(self, metrics: BatchMetrics) -> None:
+        """Trim the dead history prefix the eviction exposed; rebase the state."""
+        s = self._state
+        with self.tracer.span("compact", category="stage") as span:
+            s.history1, s.live1, trim1 = self._compact_side(
+                s.history1, s.live1, s.starts1
+            )
+            s.history2, s.live2, trim2 = self._compact_side(
+                s.history2, s.live2, s.starts2
+            )
+            if trim1 or trim2:
+                s.regions.rebase_state(trim1, trim2)
+            metrics.history_tuples_trimmed = trim1 + trim2
+            span.set(trimmed=trim1 + trim2)
+
+    def _drift_decide(self, metrics: BatchMetrics) -> "Partitioning | None":
+        """Ask the policy for a replacement partitioning (none before the first build)."""
+        s = self._state
+        if s.partitioning is None:
+            return None
+        with self.tracer.span("drift_decide", category="stage") as span:
+            replacement = self.policy.maybe_repartition(
+                self.histogram, metrics, self.condition, s.rng
+            )
+            span.set(repartition=replacement is not None)
+        return replacement
+
+    def _migrate(
+        self, metrics: BatchMetrics, replacement: Partitioning, builds_before: int
+    ) -> None:
+        """Move the live state onto ``replacement``; charge it to this batch."""
+        with self.tracer.span(
+            "migrate", category="stage", mode=self.repartition_mode
+        ) as span:
+            plan, load, rebuild_cost = self._adopt(
+                replacement, self.num_machines, builds_before
+            )
+            metrics.rebuild_cost += rebuild_cost
+            metrics.per_machine_load = metrics.per_machine_load + load
+            metrics.migrated_tuples += plan.total_moved
+            metrics.repartitioned = True
+            metrics.migration_plan = plan
+            span.set(moved=plan.total_moved)
+
+    def _account(self, metrics: BatchMetrics) -> None:
+        """Record the batch's channel bytes and resident footprint.
+
+        One drain covers every call the batch made on the region state;
+        batches that moved nothing through a measured channel keep
+        ``None``, like an unprofiled run.
+        """
+        s = self._state
+        (
+            metrics.bytes_pickled,
+            metrics.bytes_unpickled,
+            metrics.bytes_shm,
+        ) = s.regions.drain_channel_bytes()
+        indices1, indices2 = s.regions.state_indices()
+        metrics.resident_tuples = sum(len(i) for i in indices1) + sum(
+            len(i) for i in indices2
+        )
+        metrics.resident_history_tuples = len(s.history1) + len(s.history2)
+        metrics.resident_live_entries = len(s.live1) + len(s.live2)
 
     def finish(self, verify: bool = True) -> StreamRunResult:
         """End the stream: finalise totals, verify, close the run span.
@@ -1378,10 +992,10 @@ class StreamingJoinEngine:
         """Capture the complete resumable state at this batch boundary.
 
         The checkpoint is self-contained: configuration, policy and window
-        objects, sample state, RNG state, retained history, per-machine
-        region state (index mirrors for stateful backends, verbatim
-        index+key arrays otherwise), liveness bookkeeping and the
-        accumulated :class:`~repro.streaming.metrics.StreamRunResult`.
+        objects, sample state, RNG state, retained history, each machine's
+        resident arrival indices (the keys are looked up in the history on
+        restore), liveness bookkeeping and the accumulated
+        :class:`~repro.streaming.metrics.StreamRunResult`.
         Everything is deep-copied, so the engine may keep running after
         taking it.  :meth:`resume_from` on the checkpoint continues the
         run bit-identically to never having stopped.
@@ -1396,23 +1010,10 @@ class StreamingJoinEngine:
             "checkpoint", category="run", position=s.position
         ) as span:
             s.result.checkpoints_taken += 1
-            if self._stateful:
-                # The workers' key arrays are reproducible from the index
-                # mirrors plus the history, so the checkpoint stays
-                # O(resident indices) and never reads state back.
-                state_index1 = [np.array(held) for held in s.held1]
-                state_index2 = [np.array(held) for held in s.held2]
-                state_keys1 = state_keys2 = None
-            else:
-                state_index1 = [np.array(st.index) for st in s.state1]
-                state_keys1 = [np.array(st.keys) for st in s.state1]
-                state_index2 = [np.array(st.index) for st in s.state2]
-                state_keys2 = [np.array(st.keys) for st in s.state2]
+            indices1, indices2 = s.regions.state_indices()
             checkpoint = StreamCheckpoint(
                 num_machines=self.num_machines,
-                counting=self.counting,
                 repartition_mode=self.repartition_mode,
-                compact_history=self.compact_history,
                 migration_cost_factor=self.migration_cost_factor,
                 rebuild_scan_factor=self.rebuild_scan_factor,
                 seed=self.seed,
@@ -1429,11 +1030,8 @@ class StreamingJoinEngine:
                 starts2=list(s.starts2),
                 live1=np.array(s.live1),
                 live2=np.array(s.live2),
-                state_index1=state_index1,
-                state_keys1=state_keys1,
-                state_index2=state_index2,
-                state_keys2=state_keys2,
-                prev_outputs=np.array(s.prev_outputs),
+                state_index1=[np.array(indices) for indices in indices1],
+                state_index2=[np.array(indices) for indices in indices2],
                 region_to_machine=np.array(s.region_to_machine),
                 last_batch_index=s.last_batch_index,
                 position=s.position,
@@ -1456,16 +1054,14 @@ class StreamingJoinEngine:
         (:meth:`~repro.streaming.policies.RepartitioningPolicy.resize_partitioning`),
         :func:`~repro.streaming.migration.plan_migration` moves the
         resident state onto the new machine set (growing pads empty
-        machines in; shrinking drains the departing ones), and sticky
-        workers are rebound through the same evict/install protocol a
+        machines in; shrinking drains the departing ones), and the region
+        state is resized and reinstalled through the same install path a
         drift migration uses.  State moves immediately; the migration and
         rebuild *charges* are parked and folded into the next processed
         batch's metrics (marked via ``resized_from``), mirroring how a
         drift migration's charges land on the batch that triggered it.
 
-        Resizing to the current size is a no-op.  The recount baseline
-        differences cumulative per-machine counts and cannot survive a
-        fleet change, so ``counting="recount"`` engines refuse.
+        Resizing to the current size is a no-op.
         """
         if self._phase != "running":
             raise RuntimeError(
@@ -1474,13 +1070,6 @@ class StreamingJoinEngine:
             )
         if machines <= 0:
             raise ValueError("machines must be positive")
-        if self.counting == "recount":
-            raise ValueError(
-                "resize() is not supported with counting='recount': the "
-                "recount baseline differences cumulative per-machine "
-                "counts, which a fleet change invalidates; use "
-                "counting='incremental'"
-            )
         s = self._state
         if s.partitioning is None:
             raise RuntimeError(
@@ -1490,8 +1079,6 @@ class StreamingJoinEngine:
         old_machines = self.num_machines
         if machines == old_machines:
             return
-        windowed = not self.window.is_unbounded
-        weight = self.weight_fn
         with self.tracer.span(
             "resize",
             category="run",
@@ -1502,78 +1089,20 @@ class StreamingJoinEngine:
             replacement = self.policy.resize_partitioning(
                 machines, self.histogram, self.condition, s.rng
             )
-            plan = plan_migration(
-                s.held1
-                if self._stateful
-                else [state.index for state in s.state1],
-                s.held2
-                if self._stateful
-                else [state.index for state in s.state2],
-                replacement,
-                s.history1,
-                s.history2,
-                machines,
-                s.rng,
-                mode=self.repartition_mode,
-                live1=s.live1 if windowed else None,
-                live2=s.live2 if windowed else None,
+            plan, load, rebuild_cost = self._adopt(
+                replacement, machines, builds_before
             )
-            self.num_machines = machines
-            s.partitioning = replacement
-            s.region_to_machine = plan.region_to_machine
-            if self._stateful:
-                self.backend.resize(machines)
-                self.backend.install_state(
-                    plan.new_assignments1,
-                    plan.new_assignments2,
-                    s.history1,
-                    s.history2,
-                )
-                s.held1 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in plan.new_assignments1
-                ]
-                s.held2 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in plan.new_assignments2
-                ]
-            else:
-                s.state1 = [
-                    SortedRegionState.from_indices(indices, s.history1)
-                    for indices in plan.new_assignments1
-                ]
-                s.state2 = [
-                    SortedRegionState.from_indices(indices, s.history2)
-                    for indices in plan.new_assignments2
-                ]
-            # Incremental counting charges output at arrival time, so the
-            # per-machine baseline resets cleanly with the fleet.
-            s.prev_outputs = np.zeros(machines, dtype=np.int64)
             survivors = min(old_machines, machines)
             cumulative = np.zeros(machines, dtype=np.float64)
             cumulative[:survivors] = s.cumulative[:survivors]
             s.cumulative = cumulative
             s.result.num_machines = machines
-            migration_load = (
-                self.migration_cost_factor
-                * weight.input_cost
-                * plan.per_machine_arrivals.astype(np.float64)
-            )
-            rebuild_cost = 0.0
-            if self.histogram.rebuilds > builds_before:
-                # _rebuild_charge() spreads the scan over num_machines,
-                # which was updated above -- the charge is for the new
-                # fleet doing the rebuild.
-                rebuild_cost = self._rebuild_charge()
-                migration_load = migration_load + rebuild_cost
             s.pending_resize = {
                 "resized_from": old_machines,
-                "load": migration_load,
+                "load": load,
                 "migrated": plan.total_moved,
                 "rebuild_cost": rebuild_cost,
-                "plan": replace(
-                    plan, new_assignments1=[], new_assignments2=[]
-                ),
+                "plan": plan,
             }
             span.set(moved=plan.total_moved)
         if self.metrics is not None:
@@ -1595,9 +1124,9 @@ class StreamingJoinEngine:
         checkpoint: same RNG stream, same sample state, same per-machine
         region state, same accumulated result.  ``backend`` provides the
         execution backend for the resumed run (default: a fresh simulated
-        backend); it need not match the original -- region state is
-        reinstalled through ``bind``/``install_state`` for stateful
-        backends and rebuilt from the checkpoint arrays otherwise.
+        backend); it need not match the original -- the new backend's
+        region state is bound and installed from the checkpoint's
+        per-machine indices.
         ``machines`` optionally resizes onto a different fleet straight
         away (crash recovery onto the survivors), which is exactly
         :meth:`resize` from the restored state.
@@ -1613,9 +1142,7 @@ class StreamingJoinEngine:
             policy=checkpoint.policy,
             backend=backend,
             window=checkpoint.window,
-            counting=checkpoint.counting,
             repartition_mode=checkpoint.repartition_mode,
-            compact_history=checkpoint.compact_history,
             histogram=checkpoint.histogram,
             migration_cost_factor=checkpoint.migration_cost_factor,
             rebuild_scan_factor=checkpoint.rebuild_scan_factor,
@@ -1641,7 +1168,6 @@ class StreamingJoinEngine:
         s.live1, s.live2 = checkpoint.live1, checkpoint.live2
         s.partitioning = checkpoint.partitioning
         s.region_to_machine = checkpoint.region_to_machine
-        s.prev_outputs = checkpoint.prev_outputs
         s.last_batch_index = checkpoint.last_batch_index
         s.position = checkpoint.position
         s.cumulative = checkpoint.cumulative
@@ -1659,53 +1185,10 @@ class StreamingJoinEngine:
         with self.tracer.span(
             "restore", category="run", position=s.position
         ) as span:
-            if self._stateful:
-                self.backend.bind(
-                    self.num_machines, self.condition, self._transposed
-                )
-                # Checkpoint index lists may be key-sorted (taken from a
-                # stateless engine); the held mirrors are index-sorted.
-                s.held1 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in checkpoint.state_index1
-                ]
-                s.held2 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in checkpoint.state_index2
-                ]
-                self.backend.install_state(
-                    s.held1, s.held2, s.history1, s.history2
-                )
-                s.state1 = []
-                s.state2 = []
-            else:
-                s.held1 = s.held2 = None
-                if checkpoint.state_keys1 is None:
-                    # Stateful-origin checkpoint: rebuild keys from the
-                    # index mirrors, exactly as install_state would.
-                    s.state1 = [
-                        SortedRegionState.from_indices(indices, s.history1)
-                        for indices in checkpoint.state_index1
-                    ]
-                    s.state2 = [
-                        SortedRegionState.from_indices(indices, s.history2)
-                        for indices in checkpoint.state_index2
-                    ]
-                else:
-                    # Verbatim restore preserves the exact duplicate-key
-                    # order the original engine held.
-                    s.state1 = [
-                        SortedRegionState(index=indices, keys=keys)
-                        for indices, keys in zip(
-                            checkpoint.state_index1, checkpoint.state_keys1
-                        )
-                    ]
-                    s.state2 = [
-                        SortedRegionState(index=indices, keys=keys)
-                        for indices, keys in zip(
-                            checkpoint.state_index2, checkpoint.state_keys2
-                        )
-                    ]
+            s.regions = self.backend.bind(
+                self.num_machines, self.condition, self._transposed
+            )
+            self._install(checkpoint.state_index1, checkpoint.state_index2)
             span.set(
                 batches=len(s.result.batches),
                 resident=checkpoint.resident_tuples,
@@ -1750,9 +1233,7 @@ def compare_streaming_schemes(
     policies: dict[str, RepartitioningPolicy] | None = None,
     backend_factory=None,
     window: WindowPolicy | str | None = None,
-    counting: str = "incremental",
     repartition_mode: str = "partial",
-    compact_history: bool = True,
     ewh_config: EWHConfig | None = None,
     sample_capacity: int = 2048,
     sample_decay: float = 0.8,
@@ -1772,9 +1253,8 @@ def compare_streaming_schemes(
     :class:`~repro.streaming.backends.ExecutionBackend` per engine (e.g.
     ``lambda: MultiprocessBackend(max_workers=4)``); each backend is closed
     after its run.  The default runs every engine on the in-process
-    simulated backend.  ``window``, ``counting`` and ``compact_history``
-    apply to every engine (window policies are stateless, so one instance
-    is safely shared).
+    simulated backend.  ``window`` applies to every engine (window policies
+    are stateless, so one instance is safely shared).
 
     ``tracer`` is shared by every engine -- all runs land in one trace,
     each under its own ``run`` span tagged with its scheme, so a single
@@ -1801,9 +1281,7 @@ def compare_streaming_schemes(
             policy=policy,
             backend=backend,
             window=window,
-            counting=counting,
             repartition_mode=repartition_mode,
-            compact_history=compact_history,
             sample_capacity=sample_capacity,
             sample_decay=sample_decay,
             ewh_config=ewh_config,

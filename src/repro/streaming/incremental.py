@@ -54,7 +54,24 @@ from repro.joins.conditions import JoinCondition
 from repro.partitioning.ewh import EWHPartitioning
 from repro.streaming.source import MicroBatch
 
-__all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
+__all__ = [
+    "DecayedReservoir",
+    "IncrementalHistogram",
+    "SortedRegionState",
+    "remove_sorted",
+]
+
+
+def remove_sorted(live: np.ndarray, expired: np.ndarray) -> np.ndarray:
+    """Drop every element of ``expired`` (sorted, non-empty) from sorted ``live``.
+
+    ``O(live log expired)`` membership via ``searchsorted`` -- cheaper than
+    ``np.isin``, which re-sorts both arrays, and this runs on every windowed
+    batch (the engine's live sets, the sticky backend's ownership mirror).
+    """
+    positions = np.searchsorted(expired, live)
+    positions[positions == len(expired)] = len(expired) - 1
+    return live[expired[positions] != live]
 
 
 class SortedRegionState:

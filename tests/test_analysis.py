@@ -363,18 +363,44 @@ class TestBackendProtocol:
         report = run(
             """
             class StickyBackend(ExecutionBackend):
-                owns_state = True
-
                 def join_regions(self, *args):
                     return []
 
                 def bind(self, *args):
+                    return self
+
+                def count_batch(self, *args):
                     return None
             """
         )
         findings = [f for f in report.findings if not f.suppressed]
         assert rule_ids(report) == ["API001"]
-        assert "count_batch" in findings[0].message
+        assert "evict_state" in findings[0].message
+
+    def test_flags_partial_in_process_state_override(self):
+        report = run(
+            """
+            class TweakedState(InProcessRegionState):
+                def count_batch(self, *args):
+                    return None
+            """
+        )
+        findings = [f for f in report.findings if not f.suppressed]
+        assert rule_ids(report) == ["API001"]
+        assert "partial override" in findings[0].message
+
+    def test_bind_only_override_is_clean(self):
+        report = run(
+            """
+            class WrappingBackend(ExecutionBackend):
+                def join_regions(self, *args):
+                    return []
+
+                def bind(self, *args):
+                    return CompleteState()
+            """
+        )
+        assert rule_ids(report) == []
 
     def test_clean_full_sticky_surface(self):
         methods = "\n".join(
@@ -387,6 +413,7 @@ class TestBackendProtocol:
                 "rebase_state",
                 "install_state",
                 "resize",
+                "state_indices",
                 "drain_channel_bytes",
             )
         )

@@ -140,7 +140,7 @@ class TestMakeBackend:
         backend = make_backend("sticky", max_workers=2)
         assert isinstance(backend, StickyWorkerBackend)
         assert backend.max_workers == 2
-        assert backend.owns_state
+        assert not backend.bound  # workers start on the first stream's bind
         backend.close()  # never bound: no workers to stop, still final
 
     def test_unknown_name(self):
@@ -436,6 +436,22 @@ class TestStickyWorkerBackend:
             backend.bind(1, BAND, BAND.transposed)
             with pytest.raises(RuntimeError, match="sticky worker failed"):
                 backend._broadcast(("bogus",))
+
+    def test_evict_refuses_a_diverged_mirror(self, rng):
+        """Workers dropping other than the mirror predicts is an error."""
+        with StickyWorkerBackend(max_workers=1) as backend:
+            backend.bind(1, BAND, BAND.transposed)
+            idx = np.arange(8, dtype=np.int64)
+            history = rng.uniform(0, 50, 8)
+            backend.count_batch([idx], [idx], history, history)
+            # Inject a divergence: the mirror claims an index no worker holds.
+            held1, _ = backend.state_indices()
+            held1[0] = np.append(held1[0], 99)
+            with pytest.raises(RuntimeError, match="diverged"):
+                backend.evict_state(
+                    np.array([3, 99], dtype=np.int64),
+                    np.empty(0, dtype=np.int64),
+                )
 
     def test_drain_reports_batch_bytes_then_goes_quiet(self, rng):
         with StickyWorkerBackend(max_workers=1) as backend:

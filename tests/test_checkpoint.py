@@ -60,14 +60,14 @@ def make_source(seed: int, num_batches: int = NUM_BATCHES) -> DriftingZipfSource
 
 
 def make_engine(window=None, backend=None, seed=0, machines=MACHINES,
-                counting="incremental", metrics=None):
+                metrics=None):
     """A fresh adaptive engine with an eagerly re-triggering drift detector."""
     return StreamingJoinEngine(
         machines, BAND, UNIT,
         policy=DriftAdaptiveEWHPolicy(
             DriftDetector(threshold=1.2, warmup_batches=1, cooldown_batches=2)
         ),
-        backend=backend, window=window, counting=counting,
+        backend=backend, window=window,
         sample_capacity=256, seed=seed, metrics=metrics,
     )
 
@@ -190,9 +190,6 @@ def test_checkpoint_roundtrip(seed, stop_after, window):
     assert loaded.last_batch_index == checkpoint.last_batch_index
     np.testing.assert_array_equal(loaded.history1, checkpoint.history1)
     np.testing.assert_array_equal(loaded.history2, checkpoint.history2)
-    np.testing.assert_array_equal(
-        loaded.prev_outputs, checkpoint.prev_outputs
-    )
     assert loaded.rng_state == checkpoint.rng_state
     for mine, theirs in zip(loaded.state_index1, checkpoint.state_index1):
         np.testing.assert_array_equal(mine, theirs)
@@ -223,10 +220,11 @@ def test_from_bytes_refuses_garbage():
         StreamCheckpoint.from_bytes(payload[:10])
     with pytest.raises(ValueError, match="magic"):
         StreamCheckpoint.from_bytes(b"XXXX" + payload[4:])
-    versioned = bytearray(payload)
-    versioned[4:8] = (99).to_bytes(4, "little")
-    with pytest.raises(ValueError, match="version 99"):
-        StreamCheckpoint.from_bytes(bytes(versioned))
+    for version in (1, 99):  # 1: the pre-v2 layout with the recount fields
+        versioned = bytearray(payload)
+        versioned[4:8] = version.to_bytes(4, "little")
+        with pytest.raises(ValueError, match=f"version {version};"):
+            StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
     corrupted[-1] ^= 0xFF
     with pytest.raises(ValueError, match="digest mismatch"):
@@ -324,14 +322,6 @@ def test_resize_validation():
     engine.resize(before)  # no-op, never raises
     assert engine.num_machines == before
     engine.finish()
-
-    recount = make_engine(seed=1, counting="recount")
-    recount.start()
-    for batch in make_source(seed=1).batches():
-        recount.process_batch(batch)
-        break
-    with pytest.raises(ValueError, match="recount"):
-        recount.resize(2)
 
 
 # ---------------------------------------------------------------------------

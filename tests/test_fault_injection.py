@@ -100,17 +100,25 @@ class TestCrashingBackend:
 
     def test_crash_during_migration_only(self, crashing_backend):
         """crash_on=("install",) fires exactly at the first state migration."""
+        reference = make_engine().run(make_source())
+        first_rebuild = next(
+            b.batch_index for b in reference.batches if b.repartitioned
+        )
         backend = crashing_backend(
             inner=SimulatedBackend(), crash_on=("install",), crash_at_call=1
         )
-        # The simulated backend has no install protocol; drive the op
-        # directly to pin the scoping logic.
-        backend._before("count")
-        backend._before("join")
-        assert not backend.crashed
-        with pytest.raises(WorkerCrashError):
-            backend._before("install")
-        assert backend.crashed
+        engine = make_engine(backend=backend)
+        engine.start()
+        processed = []
+        with pytest.raises(WorkerCrashError, match="'install'"):
+            for batch in make_source().batches():
+                processed.append(batch.index)
+                engine.process_batch(batch)
+        # Every batch before the drift migration counted through the
+        # wrapper without a fault; the migration's install crashed.
+        assert backend.crashed and backend.calls == 1
+        assert processed[-1] == first_rebuild
+        engine.close()
 
     def test_rejects_bad_configuration(self, crashing_backend):
         """Bad crash points and unknown operations are refused loudly."""

@@ -7,7 +7,7 @@ Three families of guarantees:
   typing, snapshot cadence;
 * **invisibility** -- a traced-and-metered engine run is behaviourally
   bit-identical to an untraced one (a hypothesis property over windows,
-  policies and counting modes), the no-op tracer's per-span overhead is
+  policies and the recount reference), the no-op tracer's per-span overhead is
   bounded on a hot loop, and a simulated pipeline traced with a
   :class:`~repro.obs.trace.TickClock` exports a **byte-identical** trace
   on every replay;
@@ -58,7 +58,7 @@ from repro.streaming import (
     StreamingPipeline,
     make_backend,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import RecountBackend, assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -75,7 +75,6 @@ def make_source(seed: int = 7, num_batches: int = 6) -> DriftingZipfSource:
 def make_engine(
     adaptive: bool = True,
     window=None,
-    counting: str = "incremental",
     backend=None,
     tracer=None,
     metrics=None,
@@ -94,7 +93,6 @@ def make_engine(
         policy=policy,
         backend=backend,
         window=window,
-        counting=counting,
         sample_capacity=512,
         sample_decay=0.8,
         seed=0,
@@ -305,9 +303,9 @@ def test_tracing_and_metering_are_behaviourally_invisible(
 
 def test_tracing_is_invisible_under_recount_counting():
     source = make_source()
-    bare = make_engine(adaptive=True, counting="recount").run(source)
+    bare = make_engine(adaptive=True, backend=RecountBackend()).run(source)
     traced = make_engine(
-        adaptive=True, counting="recount", tracer=Tracer(clock=TickClock())
+        adaptive=True, backend=RecountBackend(), tracer=Tracer(clock=TickClock())
     ).run(source)
     assert_equivalent_runs(traced, bare)
 

@@ -30,7 +30,7 @@ from repro.streaming import (
     compare_streaming_schemes,
     plan_migration,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import RecountBackend, assert_equivalent_runs
 from repro.workloads.definitions import make_bcb
 
 UNIT = WeightFunction(1.0, 1.0)
@@ -225,14 +225,14 @@ class TestIntegerKeyPrecision:
     def test_incremental_and_recount_agree_on_int_keys(self):
         keys1, keys2 = self._int_stream(seed=9)
 
-        def run(counting):
+        def run(backend):
             return StreamingJoinEngine(
                 3, BAND, UNIT, policy=StaticEWHPolicy(),
-                counting=counting, sample_capacity=256, seed=2,
+                backend=backend, sample_capacity=256, seed=2,
             ).run(ArrayStreamSource(keys1, keys2, 4))
 
-        incremental = run("incremental")
-        recount = run("recount")
+        incremental = run(None)
+        recount = run(RecountBackend())
         assert incremental.output_correct and recount.output_correct
         assert_equivalent_runs(incremental, recount)
 

@@ -28,6 +28,7 @@ from repro.streaming import (
     compare_streaming_schemes,
     make_window,
 )
+from repro.streaming.testing import NeverTrimWindow, RecountBackend
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -208,14 +209,12 @@ def drift_source(num_batches=10, seed=11):
 
 class TestWindowedEngine:
     def test_recount_rejects_windows(self):
+        engine = StreamingJoinEngine(
+            2, BAND, UNIT, policy=StaticEWHPolicy(), backend=RecountBackend(),
+            window="batches:2", sample_capacity=256, seed=2,
+        )
         with pytest.raises(ValueError, match="incremental"):
-            StreamingJoinEngine(
-                2, BAND, UNIT, counting="recount", window="batches:2"
-            )
-
-    def test_invalid_counting_mode(self):
-        with pytest.raises(ValueError, match="counting mode"):
-            StreamingJoinEngine(2, BAND, UNIT, counting="lazy")
+            engine.run(drift_source())
 
     def test_eviction_metrics_are_charged(self):
         engine = StreamingJoinEngine(
@@ -258,7 +257,6 @@ class TestWindowedEngine:
             4, BAND, UNIT, policy=StaticEWHPolicy(), sample_capacity=256, seed=2
         ).run(source)
         assert result.window == "unbounded"
-        assert result.counting == "incremental"
         assert result.output_correct
         assert result.total_evicted == 0
         # Resident state is the routed history and never shrinks.
@@ -312,12 +310,12 @@ class TestWindowedEngine:
         keys1 = np.array([0.1, 5.0, 7.0, 9.0])
         keys2 = np.array([0.1 + 0.2, 5.1, 7.1, 9.1])
         source = ArrayStreamSource(keys1, keys2, num_batches=2)
-        for counting in ("incremental", "recount"):
+        for backend in (None, RecountBackend()):
             result = StreamingJoinEngine(
                 1, condition, UNIT, policy=StaticEWHPolicy(),
-                counting=counting, sample_capacity=64, seed=0,
+                backend=backend, sample_capacity=64, seed=0,
             ).run(source)
-            assert result.output_correct, counting
+            assert result.output_correct, backend
             assert result.total_output == 4
 
     def test_incremental_supports_inequality_joins(self, rng):
@@ -432,13 +430,15 @@ class TestWindowedEngine:
         assert result.output_correct
 
     def test_compaction_flag_only_changes_the_footprint(self):
+        """Never trimming (the pre-compaction engine) changes only memory."""
         compacted = StreamingJoinEngine(
             4, BAND, UNIT, policy=StaticEWHPolicy(), window="batches:2",
             sample_capacity=256, seed=3,
         ).run(drift_source())
         reference = StreamingJoinEngine(
-            4, BAND, UNIT, policy=StaticEWHPolicy(), window="batches:2",
-            compact_history=False, sample_capacity=256, seed=3,
+            4, BAND, UNIT, policy=StaticEWHPolicy(),
+            window=NeverTrimWindow(make_window("batches:2")),
+            sample_capacity=256, seed=3,
         ).run(drift_source())
         assert [b.output_delta for b in compacted.batches] == [
             b.output_delta for b in reference.batches

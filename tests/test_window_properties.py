@@ -9,14 +9,16 @@ sizes, window shapes and policies:
   knows nothing about partitionings, machines or migrations, so this also
   proves a repartitioning can never resurrect expired state);
 * **the unbounded window reproduces the pre-window engine exactly** --
-  ``counting="recount"`` is the pre-window engine's counting loop, and the
-  incremental counter must match it batch by batch, machine by machine
-  (which simultaneously pins **incremental count == full recount**);
+  :class:`~repro.streaming.testing.RecountBackend` is the pre-window
+  engine's counting loop, and the incremental counter must match it batch
+  by batch, machine by machine (which simultaneously pins **incremental
+  count == full recount**);
 * **a window never adds output** -- per batch, the windowed delta is at
   most the unbounded delta on the identical stream;
 * **history compaction is invisible and O(window)** -- the compacted
   engine's per-batch metrics (outputs, loads, evictions, migrations and
-  plans) are bit-identical to an uncompacted reference run, while its
+  plans) are bit-identical to a never-trim reference run
+  (:class:`~repro.streaming.testing.NeverTrimWindow`), while its
   total footprint (history + live sets + state) stays below a constant
   derived from the window alone, however long the stream runs.
 
@@ -39,8 +41,13 @@ from repro.streaming import (
     DriftingZipfSource,
     StaticEWHPolicy,
     StreamingJoinEngine,
+    make_window,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import (
+    NeverTrimWindow,
+    RecountBackend,
+    assert_equivalent_runs,
+)
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -64,13 +71,11 @@ def make_policy(adaptive: bool):
     )
 
 
-def run_engine(source, num_machines, policy, window=None, counting="incremental",
-               compact=True, seed=0):
+def run_engine(source, num_machines, policy, window=None, backend=None, seed=0):
     """One engine run with the suite's small sample state."""
     engine = StreamingJoinEngine(
-        num_machines, BAND, UNIT, policy=policy, window=window,
-        counting=counting, compact_history=compact, sample_capacity=256,
-        seed=seed,
+        num_machines, BAND, UNIT, policy=policy, backend=backend,
+        window=window, sample_capacity=256, seed=seed,
     )
     return engine.run(source)
 
@@ -176,7 +181,7 @@ def test_unbounded_incremental_reproduces_recount_exactly(
 ):
     """Incremental counting == the pre-window full recount, bit for bit.
 
-    ``counting="recount"`` is the legacy engine's loop (full per-region
+    :class:`RecountBackend` is the legacy engine's loop (full per-region
     recount plus differencing, including the post-migration recount), so
     this simultaneously pins "the unbounded window reproduces the
     pre-window engine exactly" and "incremental count == full recount":
@@ -189,7 +194,7 @@ def test_unbounded_incremental_reproduces_recount_exactly(
     )
     recount = run_engine(
         source, num_machines, make_policy(adaptive),
-        counting="recount", seed=engine_seed,
+        backend=RecountBackend(), seed=engine_seed,
     )
     assert incremental.output_correct and recount.output_correct
     assert incremental.num_repartitions == recount.num_repartitions
@@ -211,8 +216,8 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
 
     (a) Every per-batch metric of the compacted engine -- output deltas,
     per-machine loads, evictions, bytes freed, resident state, migration
-    volumes and plans -- is bit-identical to an uncompacted reference run
-    (``compact_history=False``, the pre-compaction engine) on the same
+    volumes and plans -- is bit-identical to a never-trim reference run
+    (:class:`NeverTrimWindow`, the pre-compaction engine) on the same
     seeded stream.  (b) The compacted engine's total footprint -- history
     lengths, live-set lengths and resident state -- stays below a constant
     derived only from the window shape, the per-batch arrival rate and the
@@ -228,7 +233,8 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
     )
     reference = run_engine(
         make_source(seed, num_batches), num_machines, make_policy(adaptive),
-        window=f"{kind}:{size}", compact=False, seed=engine_seed,
+        window=NeverTrimWindow(make_window(f"{kind}:{size}")),
+        seed=engine_seed,
     )
 
     # (a) Compaction is pure bookkeeping: bit-identical behaviour.
